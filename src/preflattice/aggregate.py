@@ -1,9 +1,8 @@
 """Aggregation of individual preference orders.
 
-Per-voter preference/indifference graphs, common indifferences, the
-aggregate for/against count matrix, unanimity and cycle classification,
-condensation into super-vertices, Borda scores, and positional count
-tables.
+Common indifferences, the aggregate for/against count matrix, unanimity
+and cycle classification, condensation into super-vertices, Borda
+scores, and positional count tables.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Bigraph, LabeledMatrix, Profile
+from .core import LabeledMatrix, Profile
 from .errors import InputError, WeakOrderUnsupported
 from .graphalg import (
     digraph,
@@ -70,27 +69,6 @@ class CondensedGraph:
     overlaps: tuple  # of (members, reason) for structures left unmerged
 
 
-def build_pi_graphs(profile: Profile) -> dict:
-    """Per voter: D = strict preference pairs (transitively closed by the
-    order structure), C = indifference pairs."""
-    out = {}
-    for vid, order in profile.voters:
-        rank = order.ranks()
-        labels = order.policies
-        d_edges = set()
-        c_edges = set()
-        for i, u in enumerate(labels):
-            for v in labels[i + 1:]:
-                if rank[u] < rank[v]:
-                    d_edges.add((u, v))
-                elif rank[u] > rank[v]:
-                    d_edges.add((v, u))
-                else:
-                    c_edges.add(frozenset((u, v)))
-        out[vid] = Bigraph(tuple(profile.policies), frozenset(d_edges), frozenset(c_edges))
-    return out
-
-
 def common_indifferences(profile: Profile) -> frozenset:
     """Unordered pairs indifferent for every voter."""
     common = None
@@ -134,12 +112,11 @@ def _indifference_blocks(profile: Profile):
 
 def _unanimity_pairs(q: LabeledMatrix):
     labs = q.labels
-    idx = {u: i for i, u in enumerate(labs)}
     return frozenset(
         (u, v)
         for u in labs
         for v in labs
-        if u != v and q.rows[idx[u]][idx[v]] >= 1 and q.rows[idx[v]][idx[u]] == 0
+        if u != v and q.entry(u, v) >= 1 and q.entry(v, u) == 0
     )
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .aggregate import aggregate_reach, borda_scores, classify_cycles, condense
 from .core import count_weak_orders, enumerate_weak_orders, make_order, profile_from_dict
-from .culture import config_from_dict, run, snapshot
+from .culture import build_topology, config_from_dict, run, snapshot
 from .entropy import (
     markov_aggregate,
     markov_order,
@@ -196,6 +196,10 @@ def cmd_tg_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = config_from_dict(_load_json(args.config))
+    if args.replicates < 1:
+        raise InputError("--replicates must be at least 1")
+    # resolve the topology once, so a bad one fails before any output
+    cfg = replace(cfg, topology=build_topology(cfg.topology))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     header = ["t", "eta", "s_v", "s_c", "varieties"]
     if args.replicates > 1:

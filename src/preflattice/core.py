@@ -11,7 +11,7 @@ live here too, since everything downstream leans on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -185,19 +185,16 @@ class LabeledMatrix:
 
     labels: tuple[str, ...]
     rows: tuple[tuple, ...]
+    index: dict = field(init=False, repr=False, compare=False)  # label -> position
 
     def __post_init__(self):
         n = len(self.labels)
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise InputError("matrix shape does not match its labels")
-
-    def as_floats(self):
-        return [[float(x) for x in row] for row in self.rows]
+        object.__setattr__(self, "index", {lab: i for i, lab in enumerate(self.labels)})
 
     def entry(self, u, v):
-        i = self.labels.index(u)
-        j = self.labels.index(v)
-        return self.rows[i][j]
+        return self.rows[self.index[u]][self.index[v]]
 
 
 def preference_matrix(order: Order) -> LabeledMatrix:

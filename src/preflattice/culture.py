@@ -16,7 +16,6 @@ from itertools import combinations
 
 from .errors import InputError, LengthMismatch, SeriesTooShort
 
-TOPOLOGY_KINDS = ("square", "mobian-circle", "subset-tree")
 BEHAVIORS = ("Egoistic", "PeerPossible")
 INIT_MODES = ("uniform", "dice-mix")
 
@@ -80,16 +79,22 @@ def mobian_circle_topology(n_agents: int, turn: int) -> Topology:
     return Topology("mobian-circle", tuple(neighbors), tuple(coords))
 
 
+def subset_levels(items):
+    """The nonempty subsets of items ordered by (size, sorted members),
+    and each one's (size, position among the subsets of that size)."""
+    items = sorted(items)
+    levels = [list(combinations(items, k)) for k in range(1, len(items) + 1)]
+    subsets = [frozenset(c) for level in levels for c in level]
+    coords = tuple((len(c), pos) for level in levels for pos, c in enumerate(level))
+    return subsets, coords
+
+
 def subset_tree_topology(n_features: int) -> Topology:
     """One agent per nonempty subset of the feature set (2^n - 1 agents),
     adjacent when one subset covers the other (differs by one element)."""
     if n_features < 1:
         raise InputError("subset tree needs at least one feature")
-    subsets = sorted(
-        (frozenset(s) for k in range(1, n_features + 1)
-         for s in combinations(range(n_features), k)),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    subsets, coords = subset_levels(range(n_features))
     index = {s: i for i, s in enumerate(subsets)}
     neighbors = [[] for _ in subsets]
     for s, i in index.items():
@@ -99,35 +104,53 @@ def subset_tree_topology(n_features: int) -> Topology:
                 j = index[t]
                 neighbors[i].append(j)
                 neighbors[j].append(i)
-    level_seen = {}
-    coords = []
-    for s in subsets:
-        lvl = len(s)
-        pos = level_seen.get(lvl, 0)
-        level_seen[lvl] = pos + 1
-        coords.append((lvl, pos))
     return Topology(
         "subset-tree",
         tuple(tuple(sorted(n)) for n in neighbors),
-        tuple(coords),
+        coords,
     )
 
 
+# kind -> (builder, the spec keys it takes in order)
+TOPOLOGY_KINDS = {
+    "square": (square_topology, ("rows", "cols")),
+    "mobian-circle": (mobian_circle_topology, ("agents", "turn")),
+    "subset-tree": (subset_tree_topology, ("features",)),
+}
+
+
 def build_topology(spec) -> Topology:
-    """Resolve a topology from a spec dict (or pass a Topology through)."""
-    if isinstance(spec, Topology):
-        return spec
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise InputError("topology spec needs a 'kind'") from None
-    if kind == "square":
-        return square_topology(int(spec["rows"]), int(spec["cols"]))
-    if kind == "mobian-circle":
-        return mobian_circle_topology(int(spec["agents"]), int(spec["turn"]))
-    if kind == "subset-tree":
-        return subset_tree_topology(int(spec["features"]))
-    raise InputError(f"unknown topology kind {kind!r}")
+    """Resolve a topology from a spec dict (or pass a Topology through);
+    every agent must have a neighbor to select."""
+    if not isinstance(spec, Topology):
+        try:
+            kind = spec["kind"]
+        except (TypeError, KeyError):
+            raise InputError("topology spec needs a 'kind'") from None
+        if not isinstance(kind, str) or kind not in TOPOLOGY_KINDS:
+            raise InputError(f"unknown topology kind {kind!r}")
+        builder, keys = TOPOLOGY_KINDS[kind]
+        sizes = [spec.get(key) for key in keys]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in sizes):
+            raise InputError(f"{kind} topology needs integer {' and '.join(keys)}")
+        spec = builder(*sizes)
+    if not all(spec.neighbors):
+        raise InputError("topology has an agent without neighbors")
+    return spec
+
+
+# numeric config fields: name -> (accepted types, whether None is allowed)
+NUMERIC_FIELDS = {
+    "n_features": (int, False),
+    "traits_per_feature": (int, False),
+    "seed": (int, False),
+    "stasis_window": (int, False),
+    "max_periods": (int, False),
+    "selections_per_period": (int, True),
+    "k": ((int, float), True),
+    "epsilon": ((int, float), False),
+    "init_fraction": ((int, float), False),
+}
 
 
 @dataclass(frozen=True)
@@ -155,6 +178,13 @@ class CultureConfig:
     init_fraction: float = 0.0
 
     def __post_init__(self):
+        for name, (kinds, optional) in NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise InputError(f"{name} must be {what}, got {value!r}")
         if self.n_features < 1:
             raise InputError("need at least one feature")
         if self.traits_per_feature < 1:
@@ -173,6 +203,8 @@ class CultureConfig:
             raise InputError("init_fraction must lie in [0, 1]")
         if self.stasis_window < 1 or self.max_periods < 1:
             raise InputError("stasis window and period limit must be positive")
+        if self.selections_per_period is not None and self.selections_per_period < 1:
+            raise InputError("selections_per_period must be positive")
 
     @property
     def k_effective(self) -> float:

@@ -8,6 +8,7 @@ that distribution, and the ranking it induces.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .core import LabeledMatrix, Order, Profile, preference_matrix, transition_matrix
 from .errors import NonConvergence, NotADistribution
+from .graphalg import digraph, strongly_connected_components
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
@@ -56,60 +58,49 @@ def _rows_of(m):
     return m.rows if hasattr(m, "rows") else tuple(tuple(r) for r in m)
 
 
-def _power_iterate(rows, tol=POWER_TOL, max_iter=POWER_MAX_ITER):
-    """Power iteration for the spectral radius of a nonnegative matrix.
+def _perron_root(a, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
+    """Perron root of an irreducible nonnegative block.
 
-    Iterates on A + I (the shift removes periodicity without moving the
-    Perron root by more than exactly 1) and restarts once from a second
-    positive vector if the first run stalls. Returns (estimate, residual,
-    converged).
+    Power iteration on A + I from the uniform vector: the shift makes the
+    block primitive, so the growth of the vector's sum converges
+    geometrically, and it moves the root by exactly 1.
     """
-    n = len(rows)
-    if n == 0:
-        return 0.0, 0.0, True
-    a = np.array([[float(x) for x in row] for row in rows]) + np.eye(n)
-    starts = [
-        np.ones(n),
-        np.array([1.0 + (i % 5) / 7.0 for i in range(n)]),
-    ]
-    best = (0.0, math.inf)
-    for x in starts:
-        x = x / x.sum()
-        prev = None
-        lam = 0.0
-        for _ in range(max_iter):
-            y = a @ x
-            lam = float(y.sum())
-            x = y / lam
-            if prev is not None and abs(lam - prev) <= tol * max(1.0, abs(lam)):
-                return lam - 1.0, abs(lam - prev), True
-            prev = lam
-        resid = abs(lam - prev) if prev is not None else math.inf
-        if resid < best[1]:
-            best = (lam - 1.0, resid)
-    return best[0], best[1], False
+    b = a + np.eye(len(a))
+    x = np.ones(len(a)) / len(a)
+    prev = None
+    for _ in range(max_iter):
+        y = b @ x
+        lam = float(y.sum())
+        x = y / lam
+        if prev is not None and abs(lam - prev) <= tol * max(1.0, abs(lam)):
+            return lam - 1.0
+        prev = lam
+    raise NonConvergence(
+        "spectral radius estimate did not stabilize",
+        estimate=lam - 1.0,
+        residual=abs(lam - prev),
+    )
 
 
 def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude of a nonnegative square matrix.
 
-    Power iteration (tolerance 1e-12, at most 1e5 steps, one restart) with
-    an exact eigenvalue computation as fallback for matrices where the
-    iteration only converges harmonically (defective Perron roots).
+    The spectrum is the union of the spectra of the irreducible diagonal
+    blocks, which are the strongly connected components of the support.
+    A one-vertex block contributes its diagonal entry; a larger one its
+    Perron root, found by power iteration (tolerance 1e-12, at most 1e5
+    steps).
     """
     rows = _rows_of(m)
-    est, resid, converged = _power_iterate(rows)
-    if converged:
-        return est
-    try:
-        eig = np.linalg.eigvals(np.array([[float(x) for x in r] for r in rows]))
-    except np.linalg.LinAlgError:
-        raise NonConvergence(
-            "spectral radius estimate did not stabilize",
-            estimate=est,
-            residual=resid,
-        ) from None
-    return float(max(abs(eig)))
+    a = np.array([[float(x) for x in row] for row in rows])
+    n = len(rows)
+    support = digraph(range(n), [(i, j) for i in range(n) for j in range(n)
+                                 if i != j and rows[i][j] != 0])
+    roots = [
+        float(a[b[0], b[0]]) if len(b) == 1 else _perron_root(a[np.ix_(b, b)])
+        for b in strongly_connected_components(support)
+    ]
+    return max(roots, default=0.0)
 
 
 def matrix_entropy(m: LabeledMatrix, base=None) -> EntropyValue:
@@ -125,23 +116,27 @@ def matrix_entropy(m: LabeledMatrix, base=None) -> EntropyValue:
     return EntropyValue(math.log(lam) / math.log(b), b, radius=lam)
 
 
-def _aligned_rows(m: LabeledMatrix, labels):
-    pos = {lab: i for i, lab in enumerate(m.labels)}
-    return [[m.rows[pos[a]][pos[b]] for b in labels] for a in labels]
+def _mean_matrix(profile: Profile, matrix_of) -> LabeledMatrix:
+    """Exact mean over the voters of matrix_of(order), aligned to the
+    profile's policy order: each distinct ballot is summed once, weighted
+    by its count, and the total is divided by the voter count once."""
+    labels = profile.policies
+    pos = {lab: i for i, lab in enumerate(labels)}
+    acc = [[0] * len(labels) for _ in labels]
+    for order, count in Counter(profile.orders()).items():
+        m = matrix_of(order)
+        for a, row in zip(m.labels, m.rows):
+            target = acc[pos[a]]
+            for b, x in zip(m.labels, row):
+                if x:
+                    target[pos[b]] += count * x
+    share = Fraction(1, profile.n_voters)
+    return LabeledMatrix(labels, tuple(tuple(x * share for x in row) for row in acc))
 
 
 def mean_preference_matrix(profile: Profile) -> LabeledMatrix:
     """F = (1/n) sum of the voters' preference matrices, exact."""
-    labels = profile.policies
-    k = len(labels)
-    acc = [[Fraction(0)] * k for _ in range(k)]
-    for order in profile.orders():
-        rows = _aligned_rows(preference_matrix(order), labels)
-        for i in range(k):
-            for j in range(k):
-                acc[i][j] += rows[i][j]
-    share = Fraction(1, profile.n_voters)
-    return LabeledMatrix(labels, tuple(tuple(x * share for x in row) for row in acc))
+    return _mean_matrix(profile, preference_matrix)
 
 
 def topological_entropy(profile: Profile) -> EntropyValue:
@@ -157,16 +152,7 @@ def topological_entropy(profile: Profile) -> EntropyValue:
 def markov_aggregate(profile: Profile, mode: str = "climb-one-rung") -> LabeledMatrix:
     """Arithmetic mean of the voters' transition matrices, exact and
     row-stochastic."""
-    labels = profile.policies
-    k = len(labels)
-    acc = [[Fraction(0)] * k for _ in range(k)]
-    for order in profile.orders():
-        rows = _aligned_rows(transition_matrix(order, mode), labels)
-        for i in range(k):
-            for j in range(k):
-                acc[i][j] += rows[i][j]
-    share = Fraction(1, profile.n_voters)
-    return LabeledMatrix(labels, tuple(tuple(x * share for x in row) for row in acc))
+    return _mean_matrix(profile, lambda order: transition_matrix(order, mode))
 
 
 def _frac_solve(m, rhs):

@@ -1,8 +1,8 @@
 """Graph and poset algorithms shared by the analysis modules.
 
-Closures and reach matrices, Hamiltonian path enumeration, maximal
-circuit-free sub-bigraphs, the E/W/T relations a bigraph induces,
-antichain/chain decomposition of posets, and take-grant connectivity.
+Closures, Hamiltonian path enumeration, maximal circuit-free
+sub-bigraphs, strongly connected components, antichain/chain
+decomposition of posets, and take-grant connectivity.
 Everything here is desk-scale and exact; enumeration routines carry caps.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Bigraph, LabeledMatrix, Order, bigraph
+from .core import Bigraph, Order, bigraph
 from .errors import (
     CapExceeded,
     CyclicRelation,
@@ -41,13 +41,6 @@ def digraph(vertices, edges) -> Digraph:
     return Digraph(tuple(vertices), frozenset((u, v) for u, v in edges))
 
 
-def digraph_from_dict(data) -> Digraph:
-    try:
-        return digraph(data["vertices"], [tuple(e) for e in data["edges"]])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"digraph JSON needs 'vertices' and 'edges': {exc}") from None
-
-
 def _adjacency(g: Digraph):
     adj = {v: set() for v in g.vertices}
     for u, v in g.edges:
@@ -66,20 +59,6 @@ def transitive_closure(g: Digraph) -> Digraph:
             if k in reach[u]:
                 reach[u] |= rk
     return digraph(g.vertices, [(u, v) for u in order for v in reach[u]])
-
-
-def reach_matrix(g: Digraph) -> LabeledMatrix:
-    """M[u][v] = 1 iff v is reachable from u by a path of length >= 1.
-
-    The diagonal is therefore zero unless the vertex lies on a cycle.
-    """
-    closed = transitive_closure(g)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    rows = [[0] * n for _ in range(n)]
-    for u, v in closed.edges:
-        rows[idx[u]][idx[v]] = 1
-    return LabeledMatrix(g.vertices, tuple(tuple(r) for r in rows))
 
 
 def hamiltonian_paths(g: Digraph):
@@ -149,7 +128,7 @@ def count_hamiltonian_paths(g: Digraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bigraphs: circuits, maximal circuit-free sub-bigraphs, derived relations
+# bigraphs: circuits and maximal circuit-free sub-bigraphs
 
 def _mixed_adjacency(b: Bigraph):
     """Directed view of C u D: C edges are traversable both ways."""
@@ -235,67 +214,14 @@ def maximal_circuit_free_subbigraphs(b: Bigraph):
     the order.
     """
     filled, _ = completed_bigraph(b)
-    walk_pairs = {frozenset((u, v)) for u, v in filled.d_edges} | set(filled.c_edges)
-    adj = {v: set() for v in filled.vertices}
-    for pair in walk_pairs:
-        u, v = tuple(pair)
-        adj[u].add(v)
-        adj[v].add(u)
-    # only D edges constrain direction: a D edge may be walked u -> v only
-    for u, v in filled.d_edges:
-        if (v, u) not in filled.d_edges:
-            adj[v].discard(u)
-
-    cap = vertex_cap(HAMILTONIAN_CAP)
-    verts = list(b.vertices)
-    if len(verts) > cap:
-        raise CapExceeded(
-            f"sub-bigraph enumeration over {len(verts)} vertices exceeds the cap of {cap}"
-        )
-
-    paths = []
-    path = []
-    used = set()
-
-    def extend(v):
-        path.append(v)
-        used.add(v)
-        if len(path) == len(verts):
-            paths.append(tuple(path))
-        else:
-            for w in verts:
-                if w not in used and w in adj[v]:
-                    extend(w)
-        path.pop()
-        used.remove(v)
-
-    for s in verts:
-        extend(s)
-
+    adj = _mixed_adjacency(filled)
+    walk = digraph(filled.vertices, [(u, v) for u in adj for v in adj[u]])
     seen = {}
-    for p in paths:
-        order = _path_to_order(p, set(filled.c_edges))
+    for p in hamiltonian_paths(walk):
+        order = _path_to_order(p, filled.c_edges)
         if order not in seen:
             seen[order] = _compatible_subbigraph(b, order)
     return [(sub, order) for order, sub in seen.items()]
-
-
-def bigraph_matrix(b: Bigraph) -> LabeledMatrix:
-    """0/1 matrix of a bigraph under the closed-preference reading: M[u][v]
-    is 1 when u = v, when (u,v) is a D edge, or when {u,v} is a C edge."""
-    verts = list(b.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    for u, v in b.d_edges:
-        rows[idx[u]][idx[v]] = 1
-    for pair in b.c_edges:
-        u, v = tuple(pair)
-        rows[idx[u]][idx[v]] = 1
-        rows[idx[v]][idx[u]] = 1
-    return LabeledMatrix(tuple(verts), tuple(tuple(r) for r in rows))
 
 
 def strongly_connected_components(g: Digraph):
@@ -389,124 +315,6 @@ def transitive_reduction(g: Digraph) -> Digraph:
         if not any(v in reach[w] for w in reach[u] if w != v):
             kept.add((u, v))
     return digraph(g.vertices, kept)
-
-
-@dataclass(frozen=True)
-class DerivedRelations:
-    """The equivalence (E), weak (W), and transitive (T) relations of a bigraph."""
-
-    E: frozenset
-    W: frozenset
-    T: frozenset
-
-
-def derive_relations(b: Bigraph) -> DerivedRelations:
-    """E: equal or on a common loop of C u D (a loop is a closed walk on
-    distinct vertices, edge directions ignored, no edge reused).
-    W: equal or joined by a mixed path (D directed, C either way).
-    T: joined by a directed path of D edges.
-    """
-    verts = list(b.vertices)
-
-    # T: transitive closure of D, paths of length >= 1
-    d_adj = {v: set() for v in verts}
-    for u, v in b.d_edges:
-        d_adj[u].add(v)
-    t_pairs = set()
-    for s in verts:
-        seen = set()
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in d_adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        t_pairs.update((s, y) for y in seen)
-
-    # W: reflexive mixed reachability
-    m_adj = _mixed_adjacency(b)
-    w_pairs = set()
-    for s in verts:
-        seen = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in m_adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        w_pairs.update((s, y) for y in seen)
-
-    # E: vertices sharing a biconnected block that contains a cycle.
-    # Edges are undirected and individually identified so that a directed
-    # 2-cycle (or a D plus C pair) forms a genuine loop of two edges.
-    edge_list = []
-    for u, v in b.d_edges:
-        edge_list.append((u, v))
-    for pair in b.c_edges:
-        u, v = tuple(pair)
-        edge_list.append((u, v))
-    incident = {v: [] for v in verts}
-    for eid, (u, v) in enumerate(edge_list):
-        incident[u].append((v, eid))
-        incident[v].append((u, eid))
-
-    e_pairs = {(v, v) for v in verts}
-    disc, low = {}, {}
-    counter = [0]
-    stack = []
-
-    def block_found(edges):
-        if len(edges) < 2:
-            return  # a bridge is not a loop
-        members = set()
-        for eid in edges:
-            members.update(edge_list[eid])
-        for x in members:
-            for y in members:
-                e_pairs.add((x, y))
-
-    def dfs(root):
-        # iterative biconnected-components walk keyed by edge ids
-        work = [(root, None, iter(incident[root]))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while work:
-            v, pe, it = work[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == pe:
-                    continue
-                if w not in disc:
-                    stack.append(eid)
-                    disc[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    work.append((w, eid, iter(incident[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    stack.append(eid)
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    comp = []
-                    while stack:
-                        comp.append(stack.pop())
-                        if comp[-1] == pe:
-                            break
-                    block_found(comp)
-
-    for v in verts:
-        if v not in disc:
-            dfs(v)
-
-    return DerivedRelations(frozenset(e_pairs), frozenset(w_pairs), frozenset(t_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import Order, make_order
-from .culture import CultureConfig, Field, Topology
+from .culture import CultureConfig, Field, Topology, subset_levels
 from .errors import (
     EmptyGroup,
     InputError,
@@ -508,27 +508,16 @@ def groups_to_field(interests, mode: str = "subset-lattice", behavior: str = "Eg
     chosen group topology. Agents follow (subset size, members) order."""
     names = _interest_names(interests)
     topo_graph = group_topology(names, mode)
-    subsets = sorted(
-        (frozenset(c) for k in range(1, len(names) + 1)
-         for c in combinations(names, k)),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    subsets, coords = subset_levels(names)
     index = {group_label(s): i for i, s in enumerate(subsets)}
     neighbors = [set() for _ in subsets]
     for u, v in topo_graph.edges:
         neighbors[index[u]].add(index[v])
         neighbors[index[v]].add(index[u])
-    level_seen = {}
-    coords = []
-    for s in subsets:
-        lvl = len(s)
-        pos = level_seen.get(lvl, 0)
-        level_seen[lvl] = pos + 1
-        coords.append((lvl, pos))
     topology = Topology(
         kind=f"group-{mode}",
         neighbors=tuple(tuple(sorted(n)) for n in neighbors),
-        coords=tuple(coords),
+        coords=coords,
     )
     config = CultureConfig(
         n_features=len(names),

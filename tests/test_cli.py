@@ -303,6 +303,29 @@ def test_simulate_snapshots(tmp_path, capsys):
     assert header == "x,y,h,hhat,variety_id"
 
 
+def sim_config(**overrides):
+    return {**SIM_CONFIG, **overrides}
+
+
+@pytest.mark.parametrize("config, extra", [
+    (sim_config(n_features="3"), []),
+    (sim_config(topology={"kind": "square", "rows": 4}), []),
+    (sim_config(topology={"kind": "square", "rows": 2.7, "cols": 3}), []),
+    (sim_config(topology={"kind": "square", "rows": 1, "cols": 1}), []),
+    (sim_config(topology={"kind": "subset-tree", "features": 1}), []),
+    (sim_config(selections_per_period=-5), []),
+    (SIM_CONFIG, ["--replicates", "0"]),
+], ids=["string-features", "missing-cols", "fractional-rows", "lone-agent-square",
+        "lone-agent-subset-tree", "negative-selections", "zero-replicates"])
+def test_simulate_rejects_bad_input(tmp_path, capsys, config, extra):
+    path = write_json(tmp_path / "config.json", config)
+    rc, out, err = run_cli(["simulate", path, *extra], capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InputError"
+
+
 SCENARIO_EVENTS = """t,subscriber,thread,kind,parent
 1,alice,m1,initiate,
 2,bob,m1,followup,1

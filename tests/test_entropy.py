@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preflattice.core import LabeledMatrix, make_order, profile_from_dict
+from preflattice.core import preference_matrix, transition_matrix
 from preflattice.entropy import (
     markov_aggregate,
     markov_order,
@@ -158,3 +160,88 @@ def test_stationary_is_invariant_distribution(m):
     n = len(y)
     for j in range(n):
         assert sum(y[i] * m.rows[i][j] for i in range(n)) == y[j]
+
+
+@st.composite
+def layered_profile(draw, max_voters=6):
+    """Profiles over 2-8 policies split into consecutive layers that every
+    voter ranks in the same order, each voter drawing any weak order inside
+    each layer: unanimous orderings between tied blocks make the mean
+    preference matrix reducible, and often defective."""
+    k = draw(st.integers(min_value=2, max_value=8))
+    labels = [f"p{i}" for i in range(k)]
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=k - 1))))
+    layers = [labels[a:b] for a, b in zip([0] + cuts, cuts + [k])]
+    n = draw(st.integers(min_value=1, max_value=max_voters))
+    pool = draw(st.integers(min_value=1, max_value=n))  # few distinct ballots repeat
+    ballots = []
+    for _ in range(pool):
+        ranking = []
+        for layer in layers:
+            ranks = draw(st.lists(st.integers(0, len(layer) - 1),
+                                  min_size=len(layer), max_size=len(layer)))
+            ranking += [[p for p, r in zip(layer, ranks) if r == g] for g in sorted(set(ranks))]
+        ballots.append(ranking)
+    picks = draw(st.lists(st.integers(0, pool - 1), min_size=n, max_size=n))
+    return profile_from_dict({
+        "policies": labels,
+        "voters": [{"id": f"v{i}", "ranking": ballots[b]} for i, b in enumerate(picks)],
+    })
+
+
+def oracle_spectral_radius(rows):
+    """Largest |eigenvalue| over the SCC blocks of the support, the blocks
+    found by boolean transitive closure."""
+    a = np.array([[float(x) for x in row] for row in rows])
+    n = len(a)
+    reach = (a != 0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    radius = 0.0
+    for i in range(n):
+        block = [j for j in range(n) if reach[i, j] and reach[j, i]]
+        radius = max(radius, float(max(abs(np.linalg.eigvals(a[np.ix_(block, block)])))))
+    return radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(layered_profile())
+def test_spectral_radius_matches_block_eigenvalue_oracle(profile):
+    f = mean_preference_matrix(profile)
+    assert spectral_radius(f) == pytest.approx(oracle_spectral_radius(f.rows), rel=1e-9)
+
+
+def test_spectral_radius_strict_order_is_exactly_one():
+    labels = [f"p{i}" for i in range(10)]
+    p = one_voter(labels, [[x] for x in labels])
+    assert spectral_radius(mean_preference_matrix(p)) == 1.0
+
+
+def test_spectral_radius_defective_tied_blocks():
+    # two tied pairs, one unanimously above the other: a defective root 2
+    p = one_voter("abcd", [["a", "b"], ["c", "d"]])
+    assert spectral_radius(mean_preference_matrix(p)) == 2.0
+
+
+def summed_oracle(profile, matrix_of):
+    """Per-voter summation of matrix_of(order), aligned by label lookup."""
+    labels = profile.policies
+    acc = [[Fraction(0)] * len(labels) for _ in labels]
+    for order in profile.orders():
+        m = matrix_of(order)
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
+                acc[i][j] += m.entry(a, b)
+    return tuple(tuple(x / profile.n_voters for x in row) for row in acc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layered_profile())
+def test_mean_matrices_equal_per_voter_sums(profile):
+    f = mean_preference_matrix(profile)
+    assert f.labels == profile.policies
+    assert f.rows == summed_oracle(profile, preference_matrix)
+    for mode in ("climb-one-rung", "jump-to-top"):
+        m = markov_aggregate(profile, mode)
+        assert m.labels == profile.policies
+        assert m.rows == summed_oracle(profile, lambda o: transition_matrix(o, mode))
