@@ -198,6 +198,8 @@ def cmd_simulate(args) -> int:
     cfg = config_from_dict(_load_json(args.config))
     if args.replicates < 1:
         raise InputError("--replicates must be at least 1")
+    if args.snapshot_every < 0:
+        raise InputError("--snapshot-every must not be negative")
     # resolve the topology once, so a bad one fails before any output
     cfg = replace(cfg, topology=build_topology(cfg.topology))
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -255,13 +257,28 @@ def cmd_scenario_newsgroup(args) -> int:
         events = read_postings_csv(fh)
     ledger = validate_protocol(events)
     data = _load_json(args.interests)
+    schema = (
+        'interests JSON needs {"threads": {thread: interest}, '
+        '"interests": [...] (optional)}'
+    )
     if not isinstance(data, dict) or "threads" not in data:
-        raise InputError(
-            'interests JSON needs {"threads": {thread: interest}, '
-            '"interests": [...] (optional)}'
-        )
+        raise InputError(schema)
     thread_map = data["threads"]
     interests = data.get("interests")
+    if not isinstance(thread_map, dict) or not all(
+        isinstance(i, str) for i in thread_map.values()
+    ):
+        raise InputError(schema + ", with string interests")
+    if interests is not None:
+        if not isinstance(interests, list) or not all(
+            isinstance(i, str) for i in interests
+        ):
+            raise InputError(schema + ", with string interests")
+        missing = sorted(set(thread_map.values()) - set(interests))
+        if missing:
+            raise InputError(
+                f"threads map to interests missing from the interests list: {missing}"
+            )
     prefs = extract_prefs(ledger, thread_map, interests)
     assignment = partition_subscribers(prefs, interests)
     managers = elect_managers(assignment, ledger, fraction=args.manager_fraction)

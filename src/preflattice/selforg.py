@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,7 +36,7 @@ APATHY = "∅"
 ENTRY = "entry"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostingEvent:
     t: int
     subscriber: str
@@ -61,35 +61,46 @@ class ThreadLedger:
     events: tuple
     counted: tuple
     flags: dict  # PostingEvent -> flag string
+    _by_subscriber: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # built here rather than lazily, so dataclasses.replace rebuilds it
+        self._by_subscriber = {}
+        for e in self.counted:
+            self._by_subscriber.setdefault(e.subscriber, []).append(e)
 
     def counted_threads(self, subscriber) -> set:
-        return {e.thread for e in self.counted if e.subscriber == subscriber}
+        return {e.thread for e in self._by_subscriber.get(subscriber, ())}
 
     def subscribers(self) -> tuple:
         return tuple(sorted({e.subscriber for e in self.events}))
 
     def activity(self, subscriber) -> int:
-        return sum(1 for e in self.counted if e.subscriber == subscriber)
+        return len(self._by_subscriber.get(subscriber, ()))
 
     def earliest_counted(self, subscriber):
-        times = [e.t for e in self.counted if e.subscriber == subscriber]
-        return min(times) if times else None
+        counted = self._by_subscriber.get(subscriber)
+        return min(e.t for e in counted) if counted else None
 
 
 def read_postings_csv(fileobj):
     """Rows ``t,subscriber,thread,kind,parent`` (parent empty for
-    initiations); a header row with those names is skipped."""
+    initiations); a header row with those names is skipped when it is
+    the first non-blank row."""
     events = []
+    first_row = True
     for lineno, row in enumerate(csv.reader(fileobj), start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 5:
             raise InputError(f"line {lineno}: expected 5 columns, got {len(row)}")
         t, subscriber, thread, kind, parent = (cell.strip() for cell in row)
-        if lineno == 1 and (t, subscriber, thread, kind, parent) == (
-            "t", "subscriber", "thread", "kind", "parent",
-        ):
-            continue
+        if first_row:
+            first_row = False
+            if (t, subscriber, thread, kind, parent) == (
+                "t", "subscriber", "thread", "kind", "parent",
+            ):
+                continue
         try:
             t_val = int(t)
             parent_val = int(parent) if parent else None
@@ -99,8 +110,10 @@ def read_postings_csv(fileobj):
     return events
 
 
-def _resolve_parent(event, earlier_in_thread):
-    matches = [e for e in earlier_in_thread if e.t == event.parent]
+def _resolve_parent(event, earlier_by_t):
+    """The one earlier event of the thread at ``event.parent``;
+    ``earlier_by_t`` maps t to the thread's events seen so far."""
+    matches = earlier_by_t.get(event.parent, ())
     if not matches:
         raise UnknownParent(
             f"event t={event.t} references t={event.parent}, which has no "
@@ -126,12 +139,12 @@ def validate_protocol(events) -> ThreadLedger:
     error.
     """
     events = sorted(events, key=lambda e: e.t)
-    by_thread = {}
+    by_thread = {}  # thread -> {t: [events seen so far]}
     first_initiate = {}
     duplicate_initiations = set()
     parents = {}  # followup/ack event -> resolved parent event
     for event in events:
-        seen = by_thread.setdefault(event.thread, [])
+        seen = by_thread.setdefault(event.thread, {})
         if event.kind == "initiate":
             if event.thread in first_initiate:
                 duplicate_initiations.add(event)
@@ -150,7 +163,7 @@ def validate_protocol(events) -> ThreadLedger:
                     raise InputError(
                         f"followup t={event.t} references an acknowledgment"
                     )
-        seen.append(event)
+        seen.setdefault(event.t, []).append(event)
 
     followups_of = {}
     for event, parent in parents.items():
@@ -266,24 +279,24 @@ def partition_subscribers(prefs: dict, interests=None) -> GroupAssignment:
 def elect_managers(assignment: GroupAssignment, ledger: ThreadLedger, fraction=0.05) -> dict:
     """Top ceil(fraction * members) contributors per group, ranked by
     counted activity, then earliest counted contribution, then id."""
-    frac = Fraction(str(fraction))
+    bad_fraction = "manager fraction must lie in (0, 1]"
+    try:
+        frac = Fraction(str(fraction))
+    except ValueError:  # nan and inf have no exact value
+        raise InputError(bad_fraction) from None
     if not 0 < frac <= 1:
-        raise InputError("manager fraction must lie in (0, 1]")
+        raise InputError(bad_fraction)
+
+    def rank(s):
+        earliest = ledger.earliest_counted(s)
+        return (-ledger.activity(s), math.inf if earliest is None else earliest, s)
+
     managers = {}
     for label, members in assignment.groups.items():
         if not members:
             raise EmptyGroup(f"group {label!r} has no members")
         k = math.ceil(frac * len(members))
-        ranked = sorted(
-            members,
-            key=lambda s: (
-                -ledger.activity(s),
-                ledger.earliest_counted(s) if ledger.earliest_counted(s) is not None
-                else math.inf,
-                s,
-            ),
-        )
-        managers[label] = tuple(ranked[:k])
+        managers[label] = tuple(sorted(members, key=rank)[:k])
     return managers
 
 

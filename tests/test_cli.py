@@ -315,8 +315,10 @@ def sim_config(**overrides):
     (sim_config(topology={"kind": "subset-tree", "features": 1}), []),
     (sim_config(selections_per_period=-5), []),
     (SIM_CONFIG, ["--replicates", "0"]),
+    (SIM_CONFIG, ["--snapshot-every", "-1"]),
 ], ids=["string-features", "missing-cols", "fractional-rows", "lone-agent-square",
-        "lone-agent-subset-tree", "negative-selections", "zero-replicates"])
+        "lone-agent-subset-tree", "negative-selections", "zero-replicates",
+        "negative-snapshot-every"])
 def test_simulate_rejects_bad_input(tmp_path, capsys, config, extra):
     path = write_json(tmp_path / "config.json", config)
     rc, out, err = run_cli(["simulate", path, *extra], capsys)
@@ -368,6 +370,30 @@ def test_scenario_newsgroup(tmp_path, capsys):
         "role_order": [["C", "D"]],
         "merges": [],
     }
+
+
+SCENARIO_THREADS = {"m1": "a", "m2": "b", "m3": "c"}
+
+
+@pytest.mark.parametrize("interests, extra", [
+    ({"threads": ["m1"]}, []),
+    ({"threads": SCENARIO_THREADS, "interests": 5}, []),
+    ({"threads": {**SCENARIO_THREADS, "m1": "z"}, "interests": ["a", "b", "c"]}, []),
+    ({"threads": SCENARIO_THREADS}, ["--manager-fraction", "nan"]),
+    ({"threads": SCENARIO_THREADS}, ["--manager-fraction", "inf"]),
+], ids=["thread-list", "interest-count", "interest-not-listed", "nan-fraction",
+        "inf-fraction"])
+def test_scenario_newsgroup_rejects_bad_input(tmp_path, capsys, interests, extra):
+    events = tmp_path / "events.csv"
+    events.write_text(SCENARIO_EVENTS, encoding="utf-8")
+    path = write_json(tmp_path / "interests.json", interests)
+    rc, out, err = run_cli(
+        ["scenario-newsgroup", str(events), "--interests", path, *extra], capsys
+    )
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InputError"
 
 
 def test_console_script_smoke(tmp_path):

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from preflattice.errors import (
 from preflattice.selforg import (
     APATHY,
     ENTRY,
+    KINDS,
     GroupAssignment,
     PostingEvent,
     decode_order,
@@ -128,6 +130,137 @@ def test_unknown_parent_is_an_error():
         validate_protocol(events)
 
 
+def test_parent_in_another_thread_is_unknown():
+    events = [
+        E(t=1, subscriber="alice", thread="m1", kind="initiate"),
+        E(t=2, subscriber="bob", thread="m2", kind="initiate"),
+        E(t=3, subscriber="carol", thread="m1", kind="followup", parent=2),
+    ]
+    with pytest.raises(UnknownParent) as info:
+        validate_protocol(events)
+    assert str(info.value) == (
+        "event t=3 references t=2, which has no earlier match in thread 'm1'"
+    )
+
+
+def test_two_parents_at_one_t_is_an_error():
+    events = [
+        E(t=1, subscriber="alice", thread="m1", kind="initiate"),
+        E(t=1, subscriber="dave", thread="m1", kind="initiate"),
+        E(t=2, subscriber="bob", thread="m1", kind="followup", parent=1),
+    ]
+    with pytest.raises(InputError) as info:
+        validate_protocol(events)
+    assert type(info.value) is InputError
+    assert str(info.value) == "thread 'm1' has multiple events at t=1"
+
+
+THREADS = ("m1", "m2", "m3")
+SUBSCRIBERS = ("ann", "ben", "cat", "dan")
+
+
+@st.composite
+def protocol_events(draw):
+    """Protocol-valid events over a few threads with interleaved times:
+    no self-followup, no followup of an ack, every parent an earlier event
+    of the same thread, and at most one event per (thread, t)."""
+    events = []
+    by_thread = {thread: [] for thread in THREADS}
+    replied_to = {}  # followup -> the event it answers
+    t = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        t += draw(st.integers(min_value=0, max_value=2))  # 0: threads share a t
+        thread = draw(st.sampled_from(THREADS))
+        earlier = by_thread[thread]
+        if earlier and earlier[-1].t == t:
+            t += 1
+        kind = draw(st.sampled_from(KINDS)) if earlier else "initiate"
+        sub = draw(st.sampled_from(SUBSCRIBERS))
+        parent = None
+        if kind == "followup":
+            options = [e for e in earlier if e.kind != "ack" and e.subscriber != sub]
+            if options:
+                parent = draw(st.sampled_from(options))
+            else:
+                kind = "initiate"
+        elif kind == "ack":
+            parent = draw(st.sampled_from(earlier))
+            if parent in replied_to and draw(st.booleans()):
+                sub = replied_to[parent].subscriber
+        event = E(t=t, subscriber=sub, thread=thread, kind=kind,
+                  parent=None if parent is None else parent.t)
+        if kind == "followup":
+            replied_to[event] = parent
+        earlier.append(event)
+        events.append(event)
+    return draw(st.permutations(events))
+
+
+def list_scan_protocol(events):
+    """The protocol with each parent found by scanning the thread's
+    earlier events; the oracle for validate_protocol's (thread, t) map."""
+    events = sorted(events, key=lambda e: e.t)
+    seen, parents, first = {}, {}, set()
+    duplicates = set()
+    for event in events:
+        earlier = seen.setdefault(event.thread, [])
+        if event.kind == "initiate":
+            if event.thread in first:
+                duplicates.add(event)
+            first.add(event.thread)
+        else:
+            matches = [e for e in earlier if e.t == event.parent]
+            assert len(matches) == 1
+            parents[event] = matches[0]
+        earlier.append(event)
+    answered = {p for e, p in parents.items() if e.kind == "followup"}
+    flags, acked = {}, set()
+    for event, parent in parents.items():
+        if event.kind != "ack":
+            continue
+        if parent.kind != "followup":
+            flags[event] = "ack-of-non-followup"
+        elif event.subscriber != parents[parent].subscriber:
+            flags[event] = "ack-by-non-recipient"
+        else:
+            acked.add(parent)
+    counted = []
+    for event in events:
+        if event.kind == "initiate":
+            if event in duplicates:
+                flags[event] = "duplicate-initiation"
+            elif event in answered:
+                counted.append(event)
+            else:
+                flags[event] = "unanswered-initiation"
+        elif event.kind == "followup":
+            if event in acked:
+                counted.append(event)
+            else:
+                flags[event] = "unacknowledged-followup"
+    return tuple(counted), flags
+
+
+def assert_ledger_index(ledger):
+    for sub in ledger.subscribers() + ("nobody",):
+        mine = [e for e in ledger.counted if e.subscriber == sub]
+        assert ledger.activity(sub) == len(mine)
+        assert ledger.earliest_counted(sub) == (min(e.t for e in mine) if mine else None)
+        assert ledger.counted_threads(sub) == {e.thread for e in mine}
+
+
+@settings(max_examples=200, deadline=None)
+@given(protocol_events())
+def test_ledger_matches_list_scan(events):
+    ledger = validate_protocol(events)
+    counted, flags = list_scan_protocol(events)
+    assert ledger.counted == counted
+    assert ledger.flags == flags
+    assert_ledger_index(ledger)
+    # the index follows a replaced counted tuple
+    assert_ledger_index(replace(ledger, counted=ledger.counted[::2]))
+
+
 def test_read_postings_csv():
     text = (
         "t,subscriber,thread,kind,parent\n"
@@ -141,6 +274,18 @@ def test_read_postings_csv():
         read_postings_csv(io.StringIO("1,alice,m1\n"))
     with pytest.raises(InputError):
         read_postings_csv(io.StringIO("x,alice,m1,initiate,\n"))
+
+
+def test_read_postings_csv_header_after_blank_lines():
+    text = "\n , , , , \nt,subscriber,thread,kind,parent\n1,alice,m1,initiate,\n"
+    assert read_postings_csv(io.StringIO(text)) == [
+        E(t=1, subscriber="alice", thread="m1", kind="initiate")
+    ]
+    # only the first non-blank row may be the header
+    with pytest.raises(InputError, match="line 3"):
+        read_postings_csv(io.StringIO(
+            "1,alice,m1,initiate,\n\nt,subscriber,thread,kind,parent\n"
+        ))
 
 
 def test_extract_prefs_two_ply():
