@@ -18,7 +18,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .aggregate import aggregate_reach, borda_scores, classify_cycles, condense
-from .core import count_weak_orders, enumerate_weak_orders, make_order, profile_from_dict
+from .core import (
+    count_weak_orders,
+    enumerate_weak_orders,
+    is_str_list,
+    is_tie_groups,
+    make_order,
+    profile_from_dict,
+)
 from .culture import build_topology, config_from_dict, run, snapshot
 from .entropy import (
     markov_aggregate,
@@ -152,8 +159,8 @@ def cmd_mlorder(args) -> int:
     candidates = None
     if args.candidates:
         data = _load_json(args.candidates)
-        if not isinstance(data, list):
-            raise InputError("candidates JSON must be a list of orders")
+        if not isinstance(data, list) or not all(map(is_tie_groups, data)):
+            raise InputError("candidates JSON must be a list of orders, each a list of tie-groups")
         candidates = [make_order(t.labels(), groups) for groups in data]
     mode = "weak-orders" if args.mode == "all-weak" else args.mode
     ranked = max_likelihood_order(t, candidates, mode=mode)
@@ -177,9 +184,14 @@ def cmd_mlorder(args) -> int:
 def cmd_antichain(args) -> int:
     data = _load_json(args.poset)
     try:
-        p = poset(data["vertices"], [tuple(e) for e in data["edges"]])
+        vertices, edges = data["vertices"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"poset JSON needs 'vertices' and 'edges': {exc}") from None
+    if not is_str_list(vertices) or not isinstance(edges, list) or not all(
+        is_str_list(e) and len(e) == 2 for e in edges
+    ):
+        raise InputError("poset JSON needs string vertices and [u, v] string edges")
+    p = poset(vertices, [tuple(e) for e in edges])
     size, antichain, chains = max_antichain(p)
     return _emit({
         "size": size,
@@ -314,8 +326,15 @@ def cmd_scenario_newsgroup(args) -> int:
     return _emit(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so it leaves one JSON line."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="preflattice",
         description="Collective choice analysis and cultural evolution simulation.",
     )
@@ -447,17 +466,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
-    except InputError as exc:
-        _error_line(exc)
-        return 2
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except ResourceError as exc:
         _error_line(exc)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _error_line(exc)
         return 2
 

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 7
+COUNT_CAP = 1000  # the count at 1000 has 2727 digits, within int-to-str's default 4300
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,15 @@ def profile_from_dict(data) -> Profile:
     ``{"policies": [...], "voters": [{"id": ..., "ranking": [[...], ...]}]}``
     where ranking lists tie-groups best first. Partial rankings are
     completed by appending one bottom tie-group of the unranked policies;
-    such voters are flagged in ``completed``.
+    such voters are flagged in ``completed``. Labels are strings.
     """
     try:
-        policies = list(data["policies"])
+        policies = data["policies"]
         voters_raw = list(data["voters"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"profile JSON needs 'policies' and 'voters': {exc}") from None
+    if not is_str_list(policies):
+        raise InputError("profile 'policies' must be a list of strings")
     pol_set = set(policies)
     if len(pol_set) != len(policies):
         raise DuplicateLabel("duplicate policy label in profile")
@@ -131,9 +134,14 @@ def profile_from_dict(data) -> Profile:
     for entry in voters_raw:
         try:
             vid = entry["id"]
-            ranking = [list(g) for g in entry["ranking"]]
+            ranking = entry["ranking"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"voter entry needs 'id' and 'ranking': {exc}") from None
+        if not isinstance(vid, (str, int, float)):
+            raise InputError(f"voter id must be a string or a number, got {vid!r}")
+        if not is_tie_groups(ranking):
+            raise InputError(f"voter {vid!r}: ranking must be a list of lists of strings")
+        ranking = [list(g) for g in ranking]
         ranked = [p for g in ranking for p in g]
         leftover = sorted(pol_set - set(ranked))
         if leftover:
@@ -141,6 +149,15 @@ def profile_from_dict(data) -> Profile:
             completed.append(vid)
         voters.append((vid, make_order(policies, ranking)))
     return Profile(tuple(policies), tuple(voters), tuple(completed))
+
+
+def is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def is_tie_groups(value) -> bool:
+    """A JSON list of lists of labels, the shape of an order's groups."""
+    return isinstance(value, list) and all(map(is_str_list, value))
 
 
 @dataclass(frozen=True)
@@ -238,9 +255,12 @@ def transition_matrix(order: Order, mode: str = "climb-one-rung") -> LabeledMatr
 
 
 def count_weak_orders(n: int) -> int:
-    """Number of weak orders on n policies (ordered Bell numbers)."""
+    """Number of weak orders on n policies (ordered Bell numbers), for
+    1 <= n <= COUNT_CAP."""
     if n < 1:
         raise InputError("need at least one policy")
+    if n > COUNT_CAP:
+        raise CapExceeded(f"counting weak orders on {n} policies exceeds the cap of {COUNT_CAP}")
     a = [1]
     for m in range(1, n + 1):
         a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))

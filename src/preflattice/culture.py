@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, compress
+from operator import eq, ne
+
+import numpy as np
 
 from .errors import InputError, LengthMismatch, SeriesTooShort
 
 BEHAVIORS = ("Egoistic", "PeerPossible")
 INIT_MODES = ("uniform", "dice-mix")
+DIRECT_PAIRS = 16  # most varieties whose compatible pairs are found without numpy
 
 
 @dataclass(frozen=True)
@@ -193,8 +198,8 @@ class CultureConfig:
             raise InputError(f"behavior must be one of {BEHAVIORS}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InputError("epsilon must lie in [0, 1]")
-        if self.k is not None and self.k <= 0:
-            raise InputError("k must be positive")
+        if self.k is not None and not (math.isfinite(self.k) and self.k > 0):
+            raise InputError("k must be a positive finite number")
         if self.init not in INIT_MODES:
             raise InputError(f"init must be one of {INIT_MODES}")
         if self.init == "dice-mix" and self.traits_per_feature < 11:
@@ -247,16 +252,6 @@ class Field:
     @property
     def q(self) -> int:
         return self.config.traits_per_feature
-
-
-@dataclass(frozen=True)
-class AccretionEvent:
-    agent: int
-    donor: int
-    feature: int
-    old: int
-    new: int
-    witness: tuple | None = None  # (seconder index, "a" | "b")
 
 
 @dataclass(frozen=True)
@@ -314,37 +309,16 @@ def interaction_allowed(x, y, cfg: CultureConfig, draw: float) -> bool:
     return cfg.k_effective * d + cfg.epsilon < draw
 
 
-def _select(fieldstate: Field, rng: random.Random):
-    """One selection: agent, neighbor, draw, and the feature to copy when
-    the pass test succeeds (None otherwise). The draw is always consumed."""
-    x_idx = rng.randrange(fieldstate.size)
-    nbrs = fieldstate.topology.neighbors[x_idx]
-    z_idx = nbrs[rng.randrange(len(nbrs))]
-    draw = rng.random()
-    x = fieldstate.agents[x_idx]
-    z = fieldstate.agents[z_idx]
-    if not interaction_allowed(x, z, fieldstate.config, draw):
-        return x_idx, z_idx, None
-    differing = [i for i in range(len(x)) if x[i] != z[i]]
-    f = differing[rng.randrange(len(differing))]
-    return x_idx, z_idx, f
+def _sweep(agents, neighbors, selections, thr, peer, rng) -> int:
+    """One period of selections on the agents, in place; returns how many
+    of them interacted.
 
-
-def step_egoistic(fieldstate: Field, rng: random.Random):
-    """One selection attempt; on a pass the agent copies the chosen trait."""
-    x_idx, z_idx, f = _select(fieldstate, rng)
-    if f is None:
-        return None
-    x = fieldstate.agents[x_idx]
-    z = fieldstate.agents[z_idx]
-    old = x[f]
-    x[f] = z[f]
-    return AccretionEvent(agent=x_idx, donor=z_idx, feature=f, old=old, new=z[f])
-
-
-def step_peer_possible(fieldstate: Field, rng: random.Random):
-    """As step_egoistic, but the copy needs a seconder among the agent's
-    other neighbors, evaluated before the copy:
+    Each selection draws an agent, one of its neighbors and a chance
+    ``draw``; it passes when ``thr[d] < draw`` for the pair's distance d
+    (``thr`` is infinite at d = 0 and d = n, which need at least one shared
+    and one differing feature). A pass draws the differing feature to copy.
+    Under PeerPossible the copy also needs a seconder among the agent's
+    other neighbors, checked before the copy:
 
     (a) the seconder already holds the candidate trait on the chosen
         feature and differs from the donor on some feature the agent and
@@ -352,37 +326,57 @@ def step_peer_possible(fieldstate: Field, rng: random.Random):
     (b) the seconder shares at least one trait with the donor while
         lacking the candidate trait.
 
-    All neighbors are the selecting agent's own; the first (lowest-index)
-    seconder is recorded. Without one, no copy happens and the attempt
-    does not count as an interaction.
+    Without one, no copy happens and the selection is not an interaction.
+    Bounded draws repeat ``Random.randrange``: ``getrandbits`` of the
+    bound's bit length, redrawn while out of range, so the stream is the
+    one a per-selection ``randrange`` loop consumes.
     """
-    x_idx, z_idx, f = _select(fieldstate, rng)
-    if f is None:
-        return None
-    agents = fieldstate.agents
-    x = agents[x_idx]
-    z = agents[z_idx]
-    n = len(x)
-    witness = None
-    for y_idx in fieldstate.topology.neighbors[x_idx]:
-        if y_idx == z_idx:
+    getrandbits = rng.getrandbits
+    chance = rng.random
+    size = len(agents)
+    size_bits = size.bit_length()
+    n = len(thr) - 1
+    features = range(n)
+    interactions = 0
+    for _ in range(selections):
+        x_idx = getrandbits(size_bits)
+        while x_idx >= size:
+            x_idx = getrandbits(size_bits)
+        nbrs = neighbors[x_idx]
+        m = len(nbrs)
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        z_idx = nbrs[j]
+        draw = chance()
+        x = agents[x_idx]
+        z = agents[z_idx]
+        d = n - sum(map(eq, x, z))
+        if not thr[d] < draw:
             continue
-        y = agents[y_idx]
-        if y[f] == z[f] and any(
-            x[i] == z[i] and y[i] != z[i] for i in range(n)
-        ):
-            witness = (y_idx, "a")
-            break
-        if y[f] != z[f] and any(y[i] == z[i] for i in range(n)):
-            witness = (y_idx, "b")
-            break
-    if witness is None:
-        return None
-    old = x[f]
-    x[f] = z[f]
-    return AccretionEvent(
-        agent=x_idx, donor=z_idx, feature=f, old=old, new=z[f], witness=witness
-    )
+        bits = d.bit_length()
+        j = getrandbits(bits)
+        while j >= d:
+            j = getrandbits(bits)
+        f = list(compress(features, map(ne, x, z)))[j]
+        zf = z[f]
+        if peer:
+            shared = list(compress(features, map(eq, x, z)))
+            for y_idx in nbrs:
+                if y_idx == z_idx:
+                    continue
+                y = agents[y_idx]
+                if y[f] == zf:
+                    if any(y[i] != z[i] for i in shared):
+                        break
+                elif any(map(eq, y, z)):
+                    break
+            else:
+                continue
+        x[f] = zf
+        interactions += 1
+    return interactions
 
 
 def identity_metric(agent, q: int):
@@ -394,12 +388,9 @@ def identity_metric(agent, q: int):
     return h, math.log(h) / math.log(q)
 
 
-def _variety_counts(fieldstate: Field) -> dict:
-    counts = {}
-    for agent in fieldstate.agents:
-        key = tuple(agent)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _variety_counts(fieldstate: Field) -> Counter:
+    """Agents per distinct trait vector, in order of first appearance."""
+    return Counter(map(tuple, fieldstate.agents))
 
 
 def variety_entropy(fieldstate: Field) -> float:
@@ -416,23 +407,25 @@ def variety_entropy(fieldstate: Field) -> float:
     return total / math.log(n_agents)
 
 
-def _compatible_variety_pairs(counts):
-    """Pairs of distinct varieties sharing at least one trait, found by
-    bucketing on (feature, trait); distinct varieties always differ
-    somewhere, so sharing is the whole compatibility test."""
-    varieties = list(counts)
-    if not varieties:
-        return []
-    n = len(varieties[0])
-    buckets = {}
-    for vi, v in enumerate(varieties):
-        for i in range(n):
-            buckets.setdefault((i, v[i]), []).append(vi)
-    pairs = set()
-    for members in buckets.values():
-        for a, b in combinations(members, 2):
-            pairs.add((a, b))
-    return [(varieties[a], varieties[b]) for a, b in sorted(pairs)]
+def _compatible_variety_pairs(varieties):
+    """Index pairs (a, b), a < b in row-major order, of distinct varieties
+    sharing at least one trait; distinct varieties always differ somewhere,
+    so sharing is the whole compatibility test.
+
+    Up to DIRECT_PAIRS varieties are tested pair by pair, where numpy's
+    per-call cost would dominate. More get a V x V shared-trait mask built
+    one feature at a time, so memory stays V^2 rather than V^2 * n.
+    """
+    v = len(varieties)
+    if v <= DIRECT_PAIRS:
+        return [(a, b) for a, b in combinations(range(v), 2)
+                if any(map(eq, varieties[a], varieties[b]))]
+    traits = np.array(varieties)
+    shared = np.zeros((v, v), dtype=bool)
+    for column in traits.T:
+        shared |= column[:, None] == column[None, :]
+    rows, cols = np.nonzero(np.triu(shared, 1))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def compatibility_entropy(fieldstate: Field) -> float:
@@ -443,14 +436,14 @@ def compatibility_entropy(fieldstate: Field) -> float:
     if n_agents < 3:
         return 0.0  # ln C(N,2) vanishes or pairs cannot exist
     counts = _variety_counts(fieldstate)
+    sizes = list(counts.values())
     events = []
-    for u, v in _compatible_variety_pairs(counts):
-        nu, nv = counts[u], counts[v]
-        p = (nu / n_agents) * (nv / (n_agents - nu)) + (nv / n_agents) * (
-            nu / (n_agents - nv)
+    for a, b in _compatible_variety_pairs(list(counts)):
+        nu, nv = sizes[a], sizes[b]
+        events.append(
+            (nu / n_agents) * (nv / (n_agents - nu))
+            + (nv / n_agents) * (nu / (n_agents - nv))
         )
-        if p > 0.0:
-            events.append(p)
     if not events:
         return 0.0
     total = sum(events)
@@ -462,12 +455,14 @@ def variety_table(fieldstate: Field) -> VarietyTable:
     """Varieties by descending population (ties by identity string), each
     with the ranks of the varieties it could interact with."""
     counts = _variety_counts(fieldstate)
+    varieties = list(counts)
     ordered = sorted(
         counts.items(), key=lambda kv: (-kv[1], ",".join(map(str, kv[0])))
     )
     rank_of = {v: i + 1 for i, (v, _) in enumerate(ordered)}
     compat = {v: set() for v in counts}
-    for u, v in _compatible_variety_pairs(counts):
+    for a, b in _compatible_variety_pairs(varieties):
+        u, v = varieties[a], varieties[b]
         compat[u].add(rank_of[v])
         compat[v].add(rank_of[u])
     rows = tuple(
@@ -544,7 +539,11 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     """
     rng = random.Random(cfg.seed)
     fieldstate = make_field(cfg, rng, initial)
-    step = step_egoistic if cfg.behavior == "Egoistic" else step_peer_possible
+    agents, neighbors = fieldstate.agents, fieldstate.topology.neighbors
+    k, epsilon = cfg.k_effective, cfg.epsilon
+    # pass threshold by distance; d = 0 and d = n never pass
+    thr = [math.inf] + [k * d + epsilon for d in range(1, cfg.n_features)] + [math.inf]
+    peer = cfg.behavior == "PeerPossible"
     selections = cfg.selections_per_period or fieldstate.size
     window = cfg.stasis_window
 
@@ -555,10 +554,7 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     interactions_total = 0
 
     for t in range(1, cfg.max_periods + 1):
-        interactions = 0
-        for _ in range(selections):
-            if step(fieldstate, rng) is not None:
-                interactions += 1
+        interactions = _sweep(agents, neighbors, selections, thr, peer, rng)
         interactions_total += interactions
         varieties = len(_variety_counts(fieldstate))
         series.append(

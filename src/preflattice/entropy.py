@@ -20,6 +20,7 @@ from .graphalg import digraph, strongly_connected_components
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
+BRACKET_TOL = 1e-6  # relative width of the Perron-root bracket at a stop
 EXACT_DIM_LIMIT = 12
 STATIONARY_TOL = 1e-9
 
@@ -63,7 +64,10 @@ def _perron_root(a, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
 
     Power iteration on A + I from the uniform vector: the shift makes the
     block primitive, so the growth of the vector's sum converges
-    geometrically, and it moves the root by exactly 1.
+    geometrically, and it moves the root by exactly 1. The growth can
+    repeat by coincidence while the vector is still far off, so a stop
+    also needs the Collatz-Wielandt bracket min/max (Bx)_i / x_i, which
+    holds the root, to be narrow.
     """
     b = a + np.eye(len(a))
     x = np.ones(len(a)) / len(a)
@@ -71,9 +75,11 @@ def _perron_root(a, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
     for _ in range(max_iter):
         y = b @ x
         lam = float(y.sum())
-        x = y / lam
         if prev is not None and abs(lam - prev) <= tol * max(1.0, abs(lam)):
-            return lam - 1.0
+            ratios = y / x
+            if ratios.max() - ratios.min() <= BRACKET_TOL * lam:
+                return lam - 1.0
+        x = y / lam
         prev = lam
     raise NonConvergence(
         "spectral radius estimate did not stabilize",

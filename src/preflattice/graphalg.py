@@ -447,6 +447,10 @@ def tg_graph_from_dict(data) -> TgGraph:
         edges = tuple((e["from"], e["to"], e["label"]) for e in data["edges"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"take-grant JSON malformed: {exc}") from None
+    if not all(isinstance(v, str) for v in kinds) or not all(
+        isinstance(u, str) and isinstance(v, str) for u, v, _ in edges
+    ):
+        raise InputError("take-grant vertex ids must be strings")
     if len(kinds) != len(data["vertices"]):
         raise DuplicateLabel("duplicate take-grant vertex id")
     return TgGraph(kinds, edges)

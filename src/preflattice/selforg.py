@@ -213,7 +213,7 @@ def extract_prefs(ledger: ThreadLedger, thread_map, interests=None) -> dict:
     universe = set(thread_map.values())
     if interests is not None:
         universe |= set(interests)
-    universe = sorted(universe)
+    universe = check_interest_names(universe)
     labels = universe + [APATHY]
     prefs = {}
     for sub in ledger.subscribers():
@@ -244,6 +244,20 @@ class GroupAssignment:
 
 def group_label(subset) -> str:
     return "+".join(sorted(subset))
+
+
+def check_interest_names(names) -> list:
+    """The names sorted, once each is known to make distinct group labels:
+    non-empty, free of the "+" that joins them, and neither the entry
+    group's label nor the apathy element."""
+    for name in names:
+        if not name:
+            raise InputError("interest names must not be empty")
+        if "+" in name:
+            raise InputError(f"interest name {name!r} contains '+', which joins group labels")
+        if name in (ENTRY, APATHY):
+            raise InputError(f"interest name {name!r} is reserved")
+    return sorted(names)
 
 
 def partition_subscribers(prefs: dict, interests=None) -> GroupAssignment:
@@ -305,7 +319,7 @@ def _interest_names(interests):
         if not 2 <= interests <= 26:
             raise InputError("interest count must lie in [2, 26]")
         return list(string.ascii_lowercase[:interests])
-    names = sorted(set(interests))
+    names = check_interest_names(set(interests))
     if len(names) < 2:
         raise InputError("need at least two interests")
     return names
@@ -426,16 +440,19 @@ def derive_precedents(grants):
     a strict subset of the consequent's; the reverse strict-superset
     relation is the role ordering (broader role ranks higher).
     """
+    if not isinstance(grants, (list, tuple)):
+        raise InputError("grants must be a list of (accessor, role) pairs or records")
     pairs = []
     for g in grants:
         if isinstance(g, dict):
             try:
-                pairs.append((g["accessor"], g["role"]))
+                g = (g["accessor"], g["role"])
             except KeyError as exc:
                 raise InputError(f"grant record missing {exc}") from None
-        else:
-            accessor, role = g
-            pairs.append((accessor, role))
+        if not (isinstance(g, (list, tuple)) and len(g) == 2
+                and all(isinstance(x, str) for x in g)):
+            raise InputError(f"grant {g!r} is not an (accessor, role) pair of strings")
+        pairs.append(tuple(g))
     members = {}
     for accessor, role in pairs:
         members.setdefault(role, set()).add(accessor)

@@ -62,6 +62,13 @@ def test_count_orders_rejects_nonpositive(capsys):
     assert record["error"] == "InputError"
 
 
+def test_count_orders_refuses_past_the_cap_before_computing(capsys):
+    rc, out, err = run_cli(["count-orders", "1600"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "CapExceeded"
+
+
 def test_enumerate_orders(capsys):
     rc, out, _ = run_cli(["enumerate-orders", "a", "b"], capsys)
     assert rc == 0
@@ -249,9 +256,46 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert json.loads(err)["error"] == "JSONDecodeError"
 
 
+def test_undecodable_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    rc, out, err = run_cli(["entropy", str(path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UnicodeDecodeError"
+
+
 def test_usage_error_exits_two(capsys):
     rc, _, _ = run_cli(["count-orders"], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-orders"], ["count-orders", "x"], ["frobnicate"], [],
+    ["simulate", "c.json", "--replicates", "two"],
+])
+def test_usage_error_is_one_json_line(capsys, argv):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("profile", [
+    {"policies": [1, 2], "voters": [{"id": "v", "ranking": [[1], [2]]}]},
+    {"policies": ["a", "b"], "voters": [{"id": "v", "ranking": "ab"}]},
+    {"policies": ["a", "b"], "voters": [{"id": "v", "ranking": [["a"], "b"]}]},
+    {"policies": "ab", "voters": [{"id": "v", "ranking": [["a"], ["b"]]}]},
+    {"policies": ["a", "b"], "voters": [{"id": ["v"], "ranking": [["a"], ["b"]]}]},
+], ids=["numeric-labels", "string-ranking", "string-group", "string-policies", "list-id"])
+@pytest.mark.parametrize("command", [["aggregate"], ["borda"], ["entropy", "--mode", "markov"]])
+def test_profile_commands_reject_non_string_labels(tmp_path, capsys, profile, command):
+    path = write_json(tmp_path / "profile.json", profile)
+    rc, out, err = run_cli([*command, path], capsys)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InputError"
 
 
 def test_simulate_deterministic(tmp_path, capsys):
@@ -316,9 +360,11 @@ def sim_config(**overrides):
     (sim_config(selections_per_period=-5), []),
     (SIM_CONFIG, ["--replicates", "0"]),
     (SIM_CONFIG, ["--snapshot-every", "-1"]),
+    (sim_config(k=float("nan")), []),
+    (sim_config(k=float("inf")), []),
 ], ids=["string-features", "missing-cols", "fractional-rows", "lone-agent-square",
         "lone-agent-subset-tree", "negative-selections", "zero-replicates",
-        "negative-snapshot-every"])
+        "negative-snapshot-every", "nan-k", "infinite-k"])
 def test_simulate_rejects_bad_input(tmp_path, capsys, config, extra):
     path = write_json(tmp_path / "config.json", config)
     rc, out, err = run_cli(["simulate", path, *extra], capsys)
@@ -381,8 +427,13 @@ SCENARIO_THREADS = {"m1": "a", "m2": "b", "m3": "c"}
     ({"threads": {**SCENARIO_THREADS, "m1": "z"}, "interests": ["a", "b", "c"]}, []),
     ({"threads": SCENARIO_THREADS}, ["--manager-fraction", "nan"]),
     ({"threads": SCENARIO_THREADS}, ["--manager-fraction", "inf"]),
+    ({"threads": {**SCENARIO_THREADS, "m3": "entry"}}, []),
+    ({"threads": {**SCENARIO_THREADS, "m3": ""}}, []),
+    ({"threads": {**SCENARIO_THREADS, "m3": "b+c"}}, []),
+    ({"threads": SCENARIO_THREADS, "interests": ["a", "b", "c", "entry"]}, []),
 ], ids=["thread-list", "interest-count", "interest-not-listed", "nan-fraction",
-        "inf-fraction"])
+        "inf-fraction", "entry-interest", "empty-interest", "plus-interest",
+        "listed-entry-interest"])
 def test_scenario_newsgroup_rejects_bad_input(tmp_path, capsys, interests, extra):
     events = tmp_path / "events.csv"
     events.write_text(SCENARIO_EVENTS, encoding="utf-8")

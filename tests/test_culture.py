@@ -1,14 +1,20 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preflattice.culture import (
+    DIRECT_PAIRS,
     CultureConfig,
     Field,
+    MetricsSample,
+    _compatible_variety_pairs,
     build_topology,
     classify_epochs,
+    compatibility_entropy,
     config_from_dict,
     distance,
     identity_metric,
@@ -25,8 +31,6 @@ from preflattice.culture import (
     variety_table,
 )
 from preflattice.errors import InputError, LengthMismatch, SeriesTooShort
-
-import random
 
 
 def small_cfg(**overrides):
@@ -265,3 +269,179 @@ def test_eta_bounded_and_counts_consistent(seed):
         assert m.varieties >= 1
     assert res.selections_total == res.periods * 16
     assert sum(row.count for row in res.table.rows) == 16
+
+
+# Per-selection reference for the fused sweep in ``run``: the selection,
+# pass test and seconder search written out one selection at a time with
+# ``rng.randrange``, and the period loop around them.
+
+def reference_step(fieldstate, rng, peer):
+    """One selection; True when the agent copied a trait."""
+    agents = fieldstate.agents
+    x_idx = rng.randrange(fieldstate.size)
+    nbrs = fieldstate.topology.neighbors[x_idx]
+    z_idx = nbrs[rng.randrange(len(nbrs))]
+    draw = rng.random()
+    x, z = agents[x_idx], agents[z_idx]
+    if not interaction_allowed(x, z, fieldstate.config, draw):
+        return False
+    n = len(x)
+    differing = [i for i in range(n) if x[i] != z[i]]
+    f = differing[rng.randrange(len(differing))]
+    if peer:
+        for y_idx in nbrs:
+            if y_idx == z_idx:
+                continue
+            y = agents[y_idx]
+            if y[f] == z[f] and any(x[i] == z[i] and y[i] != z[i] for i in range(n)):
+                break
+            if y[f] != z[f] and any(y[i] == z[i] for i in range(n)):
+                break
+        else:
+            return False
+    x[f] = z[f]
+    return True
+
+
+def reference_run(cfg):
+    """(series, final agents, interactions_total, status) of the run."""
+    rng = random.Random(cfg.seed)
+    fieldstate = make_field(cfg, rng)
+    peer = cfg.behavior == "PeerPossible"
+    selections = cfg.selections_per_period or fieldstate.size
+    series = []
+    prev = len({tuple(a) for a in fieldstate.agents})
+    streak = total = 0
+    for t in range(1, cfg.max_periods + 1):
+        interactions = sum(reference_step(fieldstate, rng, peer) for _ in range(selections))
+        total += interactions
+        varieties = len({tuple(a) for a in fieldstate.agents})
+        series.append(MetricsSample(t, interactions / selections, variety_entropy(fieldstate),
+                                    compatibility_entropy(fieldstate), varieties))
+        streak = streak + 1 if interactions == 0 and varieties == prev else 0
+        prev = varieties
+        if streak >= cfg.stasis_window:
+            return series, fieldstate.agents, total, "static"
+    return series, fieldstate.agents, total, "limit"
+
+
+TOPOLOGIES = st.one_of(
+    st.builds(lambda r, c: {"kind": "square", "rows": r, "cols": c},
+              st.integers(1, 5), st.integers(2, 5)),
+    st.builds(lambda n, t: {"kind": "mobian-circle", "agents": n, "turn": t},
+              st.integers(3, 24), st.integers(1, 6)).filter(lambda s: s["turn"] < s["agents"]),
+    st.builds(lambda f: {"kind": "subset-tree", "features": f}, st.integers(2, 4)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_features=st.integers(1, 6),
+    traits=st.integers(1, 5),
+    topology=TOPOLOGIES,
+    behavior=st.sampled_from(["Egoistic", "PeerPossible"]),
+    k=st.one_of(st.none(), st.floats(0.01, 1.5), st.integers(1, 2)),
+    epsilon=st.one_of(st.floats(0.0, 1.0), st.just(0)),
+    seed=st.integers(0, 2**40),
+    selections=st.one_of(st.none(), st.integers(1, 60)),
+    periods=st.integers(1, 25),
+    window=st.integers(1, 6),
+)
+def test_run_matches_per_selection_reference(n_features, traits, topology, behavior, k,
+                                             epsilon, seed, selections, periods, window):
+    cfg = CultureConfig(n_features=n_features, traits_per_feature=traits,
+                        topology=topology, behavior=behavior, k=k, epsilon=epsilon,
+                        seed=seed, selections_per_period=selections,
+                        max_periods=periods, stasis_window=window)
+    res = run(cfg)
+    series, agents, total, status = reference_run(cfg)
+    assert res.series == series
+    assert res.field.agents == agents
+    assert res.interactions_total == total
+    assert res.status == status and res.periods == len(series)
+
+
+def test_run_matches_reference_on_the_biased_ring():
+    cfg = CultureConfig(n_features=12, traits_per_feature=12,
+                        topology={"kind": "mobian-circle", "agents": 144, "turn": 12},
+                        behavior="PeerPossible", init="dice-mix", init_fraction=0.75,
+                        seed=3, max_periods=30, stasis_window=30)
+    res = run(cfg)
+    series, agents, total, _ = reference_run(cfg)
+    assert total > 0
+    assert (res.series, res.field.agents, res.interactions_total) == (series, agents, total)
+
+
+def bucket_pairs(counts):
+    """Compatible variety pairs by bucketing on (feature, trait)."""
+    varieties = list(counts)
+    if not varieties:
+        return []
+    buckets = {}
+    for vi, v in enumerate(varieties):
+        for i in range(len(v)):
+            buckets.setdefault((i, v[i]), []).append(vi)
+    pairs = set()
+    for members in buckets.values():
+        pairs.update(combinations(members, 2))
+    return [(varieties[a], varieties[b]) for a, b in sorted(pairs)]
+
+
+def bucket_compatibility_entropy(fieldstate):
+    n_agents = fieldstate.size
+    if n_agents < 3:
+        return 0.0
+    counts = {}
+    for agent in fieldstate.agents:
+        counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
+    events = []
+    for u, v in bucket_pairs(counts):
+        nu, nv = counts[u], counts[v]
+        p = (nu / n_agents) * (nv / (n_agents - nu)) + (nv / n_agents) * (
+            nu / (n_agents - nv)
+        )
+        if p > 0.0:
+            events.append(p)
+    if not events:
+        return 0.0
+    total = sum(events)
+    entropy = -sum((p / total) * math.log(p / total) for p in events)
+    return entropy / math.log(n_agents * (n_agents - 1) / 2)
+
+
+# Up to 150 agents, so both the direct pair test and the numpy mask run.
+FIELDS = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=150),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FIELDS)
+def test_compatible_pairs_and_entropy_match_bucket_method(field_spec):
+    n, agents = field_spec
+    counts = {}
+    for agent in agents:
+        counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
+    varieties = list(counts)
+    found = [(varieties[a], varieties[b]) for a, b in _compatible_variety_pairs(varieties)]
+    assert found == bucket_pairs(counts)
+    cfg = small_cfg(n_features=n, topology={"kind": "mobian-circle", "agents": max(3, len(agents)), "turn": 1})
+    fieldstate = Field(cfg, build_topology(cfg.topology), [list(a) for a in agents])
+    assert compatibility_entropy(fieldstate) == bucket_compatibility_entropy(fieldstate)
+
+
+@pytest.mark.parametrize("n_agents", [60, 150])
+def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents):
+    rng = random.Random(n_agents)
+    agents = [[rng.randrange(6) for _ in range(5)] for _ in range(n_agents)]
+    cfg = small_cfg(n_features=5, topology={"kind": "mobian-circle", "agents": n_agents, "turn": 1})
+    fieldstate = Field(cfg, build_topology(cfg.topology), agents)
+    counts = {}
+    for agent in agents:
+        counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
+    varieties = list(counts)
+    assert len(varieties) > DIRECT_PAIRS  # so the numpy mask runs
+    found = [(varieties[a], varieties[b]) for a, b in _compatible_variety_pairs(varieties)]
+    assert found == bucket_pairs(counts)
+    assert compatibility_entropy(fieldstate) == bucket_compatibility_entropy(fieldstate)

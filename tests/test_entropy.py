@@ -245,3 +245,12 @@ def test_mean_matrices_equal_per_voter_sums(profile):
         m = markov_aggregate(profile, mode)
         assert m.labels == profile.policies
         assert m.rows == summed_oracle(profile, lambda o: transition_matrix(o, mode))
+
+
+def test_spectral_radius_does_not_stop_on_a_repeated_growth():
+    # From the uniform start the growth of A + I reads 4.125 on the first
+    # two steps, while the Perron root is 3.1262...
+    block = [[1, 1, 0.75, 0.5], [0.75, 1, 0.75, 0.5],
+             [0.75, 1, 1, 0.5], [0.75, 0.75, 0.5, 1]]
+    expected = max(abs(np.linalg.eigvals(np.array(block))))
+    assert spectral_radius(block) == pytest.approx(expected, rel=1e-9)
