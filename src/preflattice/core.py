@@ -256,15 +256,30 @@ def transition_matrix(order: Order, mode: str = "climb-one-rung") -> LabeledMatr
 
 def count_weak_orders(n: int) -> int:
     """Number of weak orders on n policies (ordered Bell numbers), for
-    1 <= n <= COUNT_CAP."""
+    1 <= n <= COUNT_CAP.
+
+    Uses the series a(n) = sum over k >= 1 of k^n / 2^(k+1), cut after a
+    term K and rounded: a(n) = round(sum_{k<=K} k^n 2^(K-k) / 2^(K+1)),
+    all in integers. The tail bound that fixes K: for k >= 2n the ratio of
+    consecutive terms, (1 + 1/k)^n / 2, is at most e^(1/2) / 2 < 0.825, so
+    the tail after K is below 5.8 times the term at K + 1. Choosing the
+    least K >= 2n with 12 (K+1)^n < 2^(K+2) puts that term under 1/12 and
+    the tail under 1/2, so rounding the cut sum gives a(n) exactly.
+    """
     if n < 1:
         raise InputError("need at least one policy")
     if n > COUNT_CAP:
         raise CapExceeded(f"counting weak orders on {n} policies exceeds the cap of {COUNT_CAP}")
-    a = [1]
-    for m in range(1, n + 1):
-        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
-    return a[n]
+    k_max = 2 * n
+    # a float search finds the neighbourhood; the integer test decides
+    while n * math.log2(k_max + 1) + math.log2(12) >= k_max + 2:
+        k_max += 1
+    while 12 * (k_max + 1) ** n >= 1 << (k_max + 2):
+        k_max += 1
+    total = 0
+    for k in range(1, k_max + 1):
+        total = (total << 1) + k ** n
+    return (total + (1 << k_max)) >> (k_max + 1)
 
 
 def enumerate_weak_orders(policies):

@@ -57,27 +57,6 @@ class EstimatePoint:
     estimates: dict  # (a, b) -> (Fraction, Fraction, Fraction)
 
 
-def estimate_point(mapping) -> EstimatePoint:
-    """Validate and build an EstimatePoint from pair -> three shares."""
-    out = {}
-    for pair, vals in mapping.items():
-        a, b = pair
-        if a == b:
-            raise SelfComparison(f"pair ({a!r},{a!r}) compares a label with itself")
-        key = (a, b) if a < b else (b, a)
-        triple = tuple(Fraction(v) for v in vals)
-        if len(triple) != 3:
-            raise InputError(f"pair {key} needs exactly three shares")
-        if any(v < 0 for v in triple):
-            raise InputError(f"pair {key} has a negative share")
-        if sum(triple) != 1:
-            raise InputError(f"pair {key} shares do not sum to 1")
-        if key != pair:
-            triple = (triple[1], triple[0], triple[2])
-        out[key] = triple
-    return EstimatePoint(out)
-
-
 @dataclass
 class UncertaintyReport:
     """Uncertainty of one candidate order against a tally.
@@ -117,16 +96,20 @@ def tally(comparisons) -> ComparisonTally:
 
 
 def read_comparisons_csv(fileobj):
-    """Rows ``i,j,outcome``; a header row with those names is skipped."""
+    """Rows ``i,j,outcome``; a header row with those names is skipped when
+    it is the first non-blank row."""
     rows = []
+    first_row = True
     for lineno, row in enumerate(csv.reader(fileobj), start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != 3:
             raise InputError(f"line {lineno}: expected 3 columns, got {len(row)}")
         i, j, outcome = (cell.strip() for cell in row)
-        if lineno == 1 and (i, j, outcome) == ("i", "j", "outcome"):
-            continue
+        if first_row:
+            first_row = False
+            if (i, j, outcome) == ("i", "j", "outcome"):
+                continue
         rows.append((i, j, outcome))
     return rows
 
@@ -161,6 +144,58 @@ def induced_bigraph(e: EstimatePoint) -> Bigraph:
     return Bigraph(tuple(sorted(verts)), frozenset(d_edges), frozenset(c_edges))
 
 
+def _relations(rank, pairs):
+    """Per pair (a, b), how the ranks relate a and b: 0 for a above b, 1
+    for b above a, 2 for a tie. The first pair the ranks do not cover
+    raises MissingLabel."""
+    rels = []
+    for a, b in pairs:
+        if a not in rank or b not in rank:
+            raise MissingLabel(f"target order does not cover pair ({a!r},{b!r})")
+        ra, rb = rank[a], rank[b]
+        rels.append(0 if ra < rb else 1 if ra > rb else 2)
+    return rels
+
+
+def _pool(triple, required):
+    """Pool the required category with its largest violator, both taking
+    the mean, until it is weakly maximal."""
+    vals = list(triple)
+    while vals[required] < max(v for k, v in enumerate(vals) if k != required):
+        violators = [k for k in range(3) if k != required and vals[k] > vals[required]]
+        k = min(violators, key=lambda k: (-vals[k], k))
+        pooled = (vals[required] + vals[k]) / 2
+        vals[required] = pooled
+        vals[k] = pooled
+    return tuple(vals)
+
+
+def _pair_term(pair, shares, n):
+    """(pair, U, n * U) with U = -(sum of share * log10 share), zero shares
+    contributing nothing."""
+    u = -sum(float(x) * math.log10(float(x)) for x in shares if x > 0)
+    u = max(u, 0.0)
+    return pair, u, n * u
+
+
+def _report(restricted: EstimatePoint, terms) -> UncertaintyReport:
+    """Sum per-pair terms, given in sorted-pair order, into a report."""
+    u_per_pair = {}
+    total = 0.0
+    weighted = 0.0
+    for pair, u, nu in terms:
+        u_per_pair[pair] = u
+        total += u
+        weighted += nu
+    return UncertaintyReport(
+        estimates=restricted,
+        u_per_pair=u_per_pair,
+        total=total,
+        weighted=weighted,
+        log_likelihood=-weighted,
+    )
+
+
 def restrict_estimates(e: EstimatePoint, target: Order) -> EstimatePoint:
     """Force each pair's estimates to be consistent with the target order.
 
@@ -170,28 +205,11 @@ def restrict_estimates(e: EstimatePoint, target: Order) -> EstimatePoint:
     violators the strict-preference category is pooled before the tie
     category.
     """
-    rank = target.ranks()
-    new = {}
-    for (a, b), triple in e.estimates.items():
-        if a not in rank or b not in rank:
-            raise MissingLabel(f"target order does not cover pair ({a!r},{b!r})")
-        if rank[a] < rank[b]:
-            required = 0
-        elif rank[a] > rank[b]:
-            required = 1
-        else:
-            required = 2
-        vals = list(triple)
-        while vals[required] < max(v for k, v in enumerate(vals) if k != required):
-            violators = [
-                k for k in range(3) if k != required and vals[k] > vals[required]
-            ]
-            k = min(violators, key=lambda k: (-vals[k], k))
-            pooled = (vals[required] + vals[k]) / 2
-            vals[required] = pooled
-            vals[k] = pooled
-        new[(a, b)] = tuple(vals)
-    return EstimatePoint(new)
+    rels = _relations(target.ranks(), e.estimates)
+    return EstimatePoint({
+        pair: _pool(triple, rel)
+        for (pair, triple), rel in zip(e.estimates.items(), rels)
+    })
 
 
 def uncertainty(restricted: EstimatePoint, t: ComparisonTally) -> UncertaintyReport:
@@ -201,23 +219,43 @@ def uncertainty(restricted: EstimatePoint, t: ComparisonTally) -> UncertaintyRep
         raise MismatchedPairs(
             "estimates and tally cover different comparison pairs"
         )
-    u_per_pair = {}
-    total = 0.0
-    weighted = 0.0
-    for pair in sorted(restricted.estimates):
-        shares = restricted.estimates[pair]
-        u = -sum(float(x) * math.log10(float(x)) for x in shares if x > 0)
-        u = max(u, 0.0)
-        u_per_pair[pair] = u
-        total += u
-        weighted += t.n(pair) * u
-    return UncertaintyReport(
-        estimates=restricted,
-        u_per_pair=u_per_pair,
-        total=total,
-        weighted=weighted,
-        log_likelihood=-weighted,
-    )
+    return _report(restricted, [
+        _pair_term(pair, restricted.estimates[pair], t.n(pair))
+        for pair in sorted(restricted.estimates)
+    ])
+
+
+class _RestrictionTable:
+    """Every restriction of the raw estimates, scored once per pair.
+
+    A pair's restricted triple depends only on how the order relates its
+    two labels, so each pair keeps one (restricted triple, term) entry per
+    relation code of ``_relations``. Scoring an order is then a lookup,
+    summed in sorted-pair order as ``uncertainty`` sums, so every figure
+    equals ``uncertainty(restrict_estimates(raw, order), t)`` bit for bit,
+    errors included.
+    """
+
+    def __init__(self, raw: EstimatePoint, t: ComparisonTally):
+        self.pairs = list(raw.estimates)  # raw order: MissingLabel names the same pair
+        self.sorted_idx = sorted(range(len(self.pairs)), key=self.pairs.__getitem__)
+        self.matches_tally = set(raw.estimates) == set(t.counts)
+        self.rows = []
+        for pair, triple in raw.estimates.items():
+            pooled = [_pool(triple, rel) for rel in range(3)]
+            self.rows.append([(p, _pair_term(pair, p, t.n(pair))) for p in pooled])
+
+    def score(self, order: Order) -> UncertaintyReport:
+        rels = _relations(order.ranks(), self.pairs)
+        if not self.matches_tally:
+            raise MismatchedPairs(
+                "estimates and tally cover different comparison pairs"
+            )
+        entries = [row[rel] for row, rel in zip(self.rows, rels)]
+        return _report(
+            EstimatePoint({p: e[0] for p, e in zip(self.pairs, entries)}),
+            [entries[i][1] for i in self.sorted_idx],
+        )
 
 
 def max_likelihood_order(t: ComparisonTally, candidates=None, mode: str = "subbigraph"):
@@ -246,15 +284,17 @@ def max_likelihood_order(t: ComparisonTally, candidates=None, mode: str = "subbi
             candidates = list(enumerate_weak_orders(labels))
         else:
             raise InputError(f"unknown candidate mode {mode!r}")
+    table = None
     ranked = []
     for cand in candidates:
         if isinstance(cand, tuple):
             order, est = cand
-        else:
-            order = cand
+            ranked.append((order, uncertainty(est, t)))
+            continue
+        if table is None:
             if raw is None:
                 raw = raw_estimates(t)
-            est = restrict_estimates(raw, order)
-        ranked.append((order, uncertainty(est, t)))
+            table = _RestrictionTable(raw, t)
+        ranked.append((cand, table.score(cand)))
     ranked.sort(key=lambda item: (item[1].weighted, str(item[0])))
     return ranked

@@ -46,7 +46,6 @@ from preflattice.entropy import (
 from preflattice.errors import SelfFollowup
 from preflattice.graphalg import count_hamiltonian_paths, digraph, max_antichain, poset
 from preflattice.mlorder import (
-    estimate_point,
     max_likelihood_order,
     restrict_estimates,
     uncertainty,
@@ -161,20 +160,20 @@ def test_criterion_5_most_likely_orders(worked_tally):
     assert str(ranked[0][0]) == "1=4>2=3"  # least uncertainty ranks first
 
     for name in ("pi1", "pi2", "pi3", "pi5", "pi6"):
-        point = estimate_point(wx.printed_row_estimates(name))
+        point = wx.estimate_point(wx.printed_row_estimates(name))
         u = uncertainty(point, worked_tally).total
         assert u == pytest.approx(wx.PRINTED_U[name], abs=1e-4)
     u4 = uncertainty(
-        estimate_point(wx.printed_row_estimates("pi4")), worked_tally
+        wx.estimate_point(wx.printed_row_estimates("pi4")), worked_tally
     ).total
     assert u4 == pytest.approx(wx.PI4_RECOMPUTED, rel=1e-12)
     assert abs(u4 - wx.PRINTED_U["pi4"]) > 5e-2  # the published total is off
 
     # spot restriction identities on single pairs
-    e = estimate_point({("1", "2"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))})
+    e = wx.estimate_point({("1", "2"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))})
     r = restrict_estimates(e, make_order(["1", "2"], [["1"], ["2"]]))
     assert r.estimates[("1", "2")] == (Fr(5, 12), Fr(5, 12), Fr(1, 6))
-    e = estimate_point({("1", "4"): (Fr(0), Fr(1, 3), Fr(2, 3))})
+    e = wx.estimate_point({("1", "4"): (Fr(0), Fr(1, 3), Fr(2, 3))})
     r = restrict_estimates(e, make_order(["1", "4"], [["4"], ["1"]]))
     assert r.estimates[("1", "4")] == (Fr(0), Fr(1, 2), Fr(1, 2))
 

@@ -302,6 +302,9 @@ PINNED = [
     (case("scenario-newsgroup", "e.csv", "--interests", "i.json", "--grants", "g.json", **{
         "e.csv": EVENTS, "i.json": json.dumps({"threads": {"m1": "a"}, "interests": ["a", "b"]}),
         "g.json": json.dumps([None])}), 2),
+    # the comparisons header is recognised on the first non-blank row only
+    (case("mlorder", "c.csv", **{"c.csv": "\n" + COMPARISONS}), 0),
+    (case("mlorder", "c.csv", **{"c.csv": "1,2,>\n" + COMPARISONS}), 2),
 ]
 
 

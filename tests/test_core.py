@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,21 @@ ORDERED_BELL = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
 def test_count_weak_orders_known_values():
     for n, expected in ORDERED_BELL.items():
         assert count_weak_orders(n) == expected
+
+
+def ordered_bell_by_recurrence(n_max):
+    """a(0..n_max) from a(m) = sum over k of C(m, k) a(m - k): the
+    reference for the closed-form series."""
+    a = [1]
+    for m in range(1, n_max + 1):
+        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a
+
+
+def test_count_weak_orders_matches_recurrence():
+    a = ordered_bell_by_recurrence(300)
+    for n in list(range(1, 61)) + [99, 100, 101, 127, 128, 200, 256, 299, 300]:
+        assert count_weak_orders(n) == a[n], n
 
 
 def test_count_weak_orders_rejects_nonpositive():

@@ -13,8 +13,9 @@ from preflattice.errors import (
     MissingLabel,
     SelfComparison,
 )
+from preflattice.graphalg import maximal_circuit_free_subbigraphs
 from preflattice.mlorder import (
-    estimate_point,
+    ComparisonTally,
     induced_bigraph,
     max_likelihood_order,
     raw_estimates,
@@ -54,6 +55,15 @@ def test_read_comparisons_csv_skips_header():
         read_comparisons_csv(io.StringIO("a,b\n"))
 
 
+def test_read_comparisons_csv_header_after_blank_lines():
+    text = "\n , ,\ni,j,outcome\na,b,>\n"
+    assert read_comparisons_csv(io.StringIO(text)) == [("a", "b", ">")]
+    # only the first non-blank row may be the header
+    rows = read_comparisons_csv(io.StringIO("a,b,>\ni,j,outcome\n"))
+    with pytest.raises(InputError, match="outcome 'outcome'"):
+        tally(rows)
+
+
 def test_raw_estimates_exact(worked_tally):
     est = raw_estimates(worked_tally)
     assert est.estimates == wx.WORKED_RAW
@@ -61,13 +71,13 @@ def test_raw_estimates_exact(worked_tally):
 
 def test_estimate_point_validation():
     with pytest.raises(SelfComparison):
-        estimate_point({("a", "a"): (1, 0, 0)})
+        wx.estimate_point({("a", "a"): (1, 0, 0)})
     with pytest.raises(InputError):
-        estimate_point({("a", "b"): (Fr(1, 2), Fr(1, 2), Fr(1, 2))})
+        wx.estimate_point({("a", "b"): (Fr(1, 2), Fr(1, 2), Fr(1, 2))})
     with pytest.raises(InputError):
-        estimate_point({("a", "b"): (Fr(3, 2), Fr(-1, 2), Fr(0))})
+        wx.estimate_point({("a", "b"): (Fr(3, 2), Fr(-1, 2), Fr(0))})
     # reversed pairs are normalised onto sorted keys
-    e = estimate_point({("b", "a"): (Fr(1, 2), Fr(1, 3), Fr(1, 6))})
+    e = wx.estimate_point({("b", "a"): (Fr(1, 2), Fr(1, 3), Fr(1, 6))})
     assert e.estimates == {("a", "b"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))}
 
 
@@ -79,12 +89,12 @@ def test_induced_bigraph_worked(worked_tally):
 
 def test_restrict_single_pair_spot_checks():
     # a strict preference pools the tie mass in as needed
-    e = estimate_point({("1", "2"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))})
+    e = wx.estimate_point({("1", "2"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))})
     above = make_order(["1", "2"], [["1"], ["2"]])
     r = restrict_estimates(e, above)
     assert r.estimates[("1", "2")] == (Fr(5, 12), Fr(5, 12), Fr(1, 6))
 
-    e2 = estimate_point({("1", "4"): (Fr(0), Fr(1, 3), Fr(2, 3))})
+    e2 = wx.estimate_point({("1", "4"): (Fr(0), Fr(1, 3), Fr(2, 3))})
     below = make_order(["1", "4"], [["4"], ["1"]])
     r2 = restrict_estimates(e2, below)
     assert r2.estimates[("1", "4")] == (Fr(0), Fr(1, 2), Fr(1, 2))
@@ -113,14 +123,14 @@ def test_worked_ranking_totals(worked_tally):
 
 
 def test_uncertainty_requires_matching_pairs(worked_tally):
-    est = estimate_point({("1", "2"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))})
+    est = wx.estimate_point({("1", "2"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))})
     with pytest.raises(MismatchedPairs):
         uncertainty(est, worked_tally)
 
 
 def test_explicit_candidates_evaluated_verbatim(worked_tally):
     order = make_order(["1", "2", "3", "4"], [["1", "4"], ["2", "3"]])
-    supplied = estimate_point(wx.printed_row_estimates("pi1"))
+    supplied = wx.estimate_point(wx.printed_row_estimates("pi1"))
     ranked = max_likelihood_order(worked_tally, candidates=[(order, supplied)])
     assert len(ranked) == 1
     assert ranked[0][1].estimates is supplied
@@ -199,3 +209,94 @@ def test_restriction_properties(t):
         rep = uncertainty(restricted, t)
         assert rep.total >= 0
         assert rep.weighted >= rep.total or t.pairs() == []
+
+
+def reference_ranking(t, candidates):
+    """The per-candidate path: restrict the raw estimates to each order,
+    score the restriction, sort as max_likelihood_order does."""
+    raw = raw_estimates(t)
+    ranked = [(order, uncertainty(restrict_estimates(raw, order), t)) for order in candidates]
+    ranked.sort(key=lambda item: (item[1].weighted, str(item[0])))
+    return ranked
+
+
+def assert_same_ranking(got, want):
+    assert [str(order) for order, _ in got] == [str(order) for order, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert g.total == w.total
+        assert g.weighted == w.weighted
+        assert g.log_likelihood == w.log_likelihood
+        assert list(g.u_per_pair.items()) == list(w.u_per_pair.items())
+        assert list(g.estimates.estimates.items()) == list(w.estimates.estimates.items())
+
+
+@st.composite
+def tie_prone_tally(draw):
+    """Up to 5 labels, some pairs never compared, counts of 0-2 per
+    outcome so that equally large violators are common."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    labels = [chr(ord("a") + i) for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    rows = []
+    for a, b in draw(st.permutations(pairs)):
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        s_ab, s_ba, ties = (draw(st.integers(0, 2)) for _ in range(3))
+        if s_ab + s_ba + ties == 0:
+            ties = 1
+        records = [(a, b, ">")] * s_ab + [(b, a, ">")] * s_ba + [(a, b, "=")] * ties
+        rows += draw(st.permutations(records))
+    if not rows:
+        rows = [(labels[0], labels[1], "=")]
+    return tally(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tie_prone_tally())
+def test_weak_orders_mode_matches_per_candidate_reference(t):
+    got = max_likelihood_order(t, mode="weak-orders")
+    assert_same_ranking(got, reference_ranking(t, list(enumerate_weak_orders(t.labels()))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_prone_tally())
+def test_subbigraph_mode_matches_per_candidate_reference(t):
+    big = induced_bigraph(raw_estimates(t))
+    candidates = [order for _, order in maximal_circuit_free_subbigraphs(big)]
+    assert_same_ranking(max_likelihood_order(t), reference_ranking(t, candidates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_prone_tally(), st.data())
+def test_explicit_candidates_match_per_candidate_reference(t, data):
+    orders = list(enumerate_weak_orders(t.labels()))
+    picked = data.draw(st.lists(st.sampled_from(orders), max_size=8))
+    got = max_likelihood_order(t, candidates=picked)
+    assert_same_ranking(got, reference_ranking(t, picked))
+    # an (order, EstimatePoint) candidate next to them is still taken verbatim
+    if picked:
+        supplied = restrict_estimates(raw_estimates(t), picked[0])
+        mixed = max_likelihood_order(t, candidates=picked + [(picked[0], supplied)])
+        assert sum(rep.estimates is supplied for _, rep in mixed) == 1
+
+
+def test_zero_trial_pair_raises_mismatched_pairs():
+    t = ComparisonTally({("a", "b"): (2, 1, 0), ("a", "c"): (0, 0, 0), ("b", "c"): (1, 1, 1)})
+    for mode in ("weak-orders", "subbigraph"):
+        with pytest.raises(MismatchedPairs):
+            max_likelihood_order(t, mode=mode)
+    order = make_order(["a", "b", "c"], [["a"], ["b", "c"]])
+    with pytest.raises(MismatchedPairs):
+        max_likelihood_order(t, candidates=[order])
+    with pytest.raises(MismatchedPairs):
+        uncertainty(restrict_estimates(raw_estimates(t), order), t)
+
+
+def test_uncovered_pair_named_in_tally_order():
+    t = tally([("a", "b", ">"), ("b", "c", ">"), ("a", "c", ">")])
+    partial = make_order(["a", "b"], [["a"], ["b"]])
+    message = r"does not cover pair \('b','c'\)"
+    with pytest.raises(MissingLabel, match=message):
+        max_likelihood_order(t, candidates=[partial])
+    with pytest.raises(MissingLabel, match=message):
+        restrict_estimates(raw_estimates(t), partial)

@@ -3,10 +3,14 @@
 Two voting profiles (the four-option committee table and its three-option
 restriction, plus the rock-paper-scissors electorate) and one paired
 comparison data set with every derived figure frozen after independent
-recomputation. Tests import from here so the numbers live in one place.
+recomputation. Tests import from here so the numbers live in one place,
+along with ``estimate_point``, which builds estimate points by hand.
 """
 
 from fractions import Fraction as Fr
+
+from preflattice.errors import InputError, SelfComparison
+from preflattice.mlorder import EstimatePoint
 
 # Four options, three voters: two rank w>x>y>z, one ranks y>z>x>w.
 BORDA4 = {
@@ -123,3 +127,24 @@ def printed_row_estimates(name):
     for pair, (pi_ab, gamma) in zip(PAIR_KEYS, PRINTED_ROWS[name]):
         est[pair] = (pi_ab, 1 - pi_ab - gamma, gamma)
     return est
+
+
+def estimate_point(mapping) -> EstimatePoint:
+    """Validate and build an EstimatePoint from pair -> three shares."""
+    out = {}
+    for pair, vals in mapping.items():
+        a, b = pair
+        if a == b:
+            raise SelfComparison(f"pair ({a!r},{a!r}) compares a label with itself")
+        key = (a, b) if a < b else (b, a)
+        triple = tuple(Fr(v) for v in vals)
+        if len(triple) != 3:
+            raise InputError(f"pair {key} needs exactly three shares")
+        if any(v < 0 for v in triple):
+            raise InputError(f"pair {key} has a negative share")
+        if sum(triple) != 1:
+            raise InputError(f"pair {key} shares do not sum to 1")
+        if key != pair:
+            triple = (triple[1], triple[0], triple[2])
+        out[key] = triple
+    return EstimatePoint(out)
