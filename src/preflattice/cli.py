@@ -12,10 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .aggregate import aggregate_reach, borda_scores, classify_cycles, condense
 from .core import (
@@ -64,9 +67,49 @@ def _load_json(path):
         return json.load(fh)
 
 
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
 def _emit(obj) -> int:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    """Print exactly what json.dumps(obj, sort_keys=True, indent=2) prints.
+
+    With indent set, json runs its pure-Python encoder. Here a container
+    of scalars goes through the C encoder instead, with an item separator
+    that carries its depth's newline and indent, and is rendered once per
+    (object, depth): results repeat the same list many times over.
+    """
+    print(_render(obj, 0, defaultdict(dict)))
     return 0
+
+
+def _render(obj, depth, memo) -> str:
+    """obj as indented JSON at this depth. memo[depth] maps id() to the
+    text of each scalar container rendered there; obj keeps them alive."""
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            text = json.dumps(obj, sort_keys=True, indent=2)
+            return text.replace("\n", "\n" + "  " * depth)
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    elif type(obj) is float and math.isfinite(obj):
+        return repr(obj)  # what json prints, without setting up an encoder
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    pad = "\n" + "  " * (depth + 1)
+    if all(isinstance(v, _SCALARS) for v in values):
+        flat = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))
+        text = memo[depth][id(obj)] = flat[0] + pad + flat[1:-1] + pad[:-2] + flat[-1]
+        return text
+    seen = memo[depth + 1]
+    if isinstance(obj, dict):
+        items = [f"{_quote(k)}: {seen.get(id(v)) or _render(v, depth + 1, memo)}"
+                 for k, v in sorted(obj.items())]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    items = [seen.get(id(v)) or _render(v, depth + 1, memo) for v in obj]
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
 
 
 def _num(x):
@@ -85,8 +128,7 @@ def cmd_count_orders(args) -> int:
 
 
 def cmd_enumerate_orders(args) -> int:
-    for order in enumerate_weak_orders(args.labels):
-        print(str(order))
+    sys.stdout.writelines(f"{order}\n" for order in enumerate_weak_orders(args.labels))
     return 0
 
 
@@ -164,6 +206,14 @@ def cmd_mlorder(args) -> int:
         candidates = [make_order(t.labels(), groups) for groups in data]
     mode = "weak-orders" if args.mode == "all-weak" else args.mode
     ranked = max_likelihood_order(t, candidates, mode=mode)
+    floats = {}  # id(triple) -> (triple, its floats); candidates share triples
+
+    def shares(triple):
+        hit = floats.get(id(triple))
+        if hit is None:
+            hit = floats[id(triple)] = (triple, [float(x) for x in triple])
+        return hit[1]
+
     return _emit({
         "candidates": [
             {
@@ -172,7 +222,7 @@ def cmd_mlorder(args) -> int:
                 "weighted": report.weighted,
                 "log_likelihood": report.log_likelihood,
                 "pairs": {
-                    f"{a},{b}": [float(x) for x in report.estimates.estimates[(a, b)]]
+                    f"{a},{b}": shares(report.estimates.estimates[(a, b)])
                     for a, b in sorted(report.estimates.estimates)
                 },
             }

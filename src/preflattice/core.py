@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    AmbiguousLabel,
     CapExceeded,
     DuplicateLabel,
     EmptyGroup,
@@ -46,7 +47,15 @@ class Order:
         return {p: i for i, g in enumerate(self.groups) for p in g}
 
     def __str__(self) -> str:
-        return ">".join("=".join(g) for g in self.groups)
+        return ">".join(map("=".join, self.groups))
+
+
+def check_labels(labels) -> None:
+    """Refuse a label that would make a printed order ambiguous: an empty
+    one, or one holding the ``>`` or ``=`` that join groups and labels."""
+    for p in labels:
+        if not p or ">" in p or "=" in p:
+            raise AmbiguousLabel(f"label {p!r} is empty or contains '>' or '='")
 
 
 def make_order(policies, groups) -> Order:
@@ -63,6 +72,7 @@ def make_order(policies, groups) -> Order:
         if p in known:
             raise DuplicateLabel(f"duplicate policy label {p!r}")
         known.add(p)
+    check_labels(labels)
 
     seen = set()
     canonical = []
@@ -286,28 +296,35 @@ def enumerate_weak_orders(policies):
     """Yield every weak order over the policies exactly once.
 
     Deterministic order: each label is inserted, in input order, either
-    into an existing tie-group or as a new group at every possible rank.
-    Capped (default 7 policies) because the count grows like n!/(2 ln2^(n+1)).
+    into an existing tie-group or as a new group at every possible rank,
+    depth first. Capped (default 7 policies) because the count grows like
+    n!/(2 ln2^(n+1)).
     """
     labels = list(policies)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("duplicate policy label")
     if not labels:
         raise EmptyGroup("policy set is empty")
+    check_labels(labels)
     cap = vertex_cap(ENUMERATION_CAP)
     if len(labels) > cap:
         raise CapExceeded(
             f"enumeration over {len(labels)} policies exceeds the cap of {cap}"
         )
 
-    def build(i, groups):
-        if i == len(labels):
-            yield Order(tuple(tuple(sorted(g)) for g in groups))
-            return
+    last = len(labels) - 1
+    # (index of the next label to insert, groups so far), each group kept
+    # sorted so a finished order is already canonical; children are
+    # pushed last-first so they pop in insertion-rank order
+    stack = [(0, ())]
+    while stack:
+        i, groups = stack.pop()
         lab = labels[i]
-        for gi in range(len(groups)):
-            yield from build(i + 1, groups[:gi] + [groups[gi] + [lab]] + groups[gi + 1:])
-        for gi in range(len(groups) + 1):
-            yield from build(i + 1, groups[:gi] + [[lab]] + groups[gi:])
-
-    yield from build(1, [[labels[0]]])
+        k = len(groups)
+        children = [groups[:g] + (tuple(sorted(groups[g] + (lab,))),) + groups[g + 1:]
+                    for g in range(k)]
+        children += [groups[:g] + ((lab,),) + groups[g:] for g in range(k + 1)]
+        if i == last:
+            yield from map(Order, children)
+        else:
+            stack.extend((i + 1, child) for child in reversed(children))

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations, compress
 from operator import eq, ne
 
-import numpy as np
-
 from .errors import InputError, LengthMismatch, SeriesTooShort
 
 BEHAVIORS = ("Egoistic", "PeerPossible")
@@ -420,6 +418,8 @@ def _compatible_variety_pairs(varieties):
     if v <= DIRECT_PAIRS:
         return [(a, b) for a, b in combinations(range(v), 2)
                 if any(map(eq, varieties[a], varieties[b]))]
+    import numpy as np
+
     traits = np.array(varieties)
     shared = np.zeros((v, v), dtype=bool)
     for column in traits.T:

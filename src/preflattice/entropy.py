@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import LabeledMatrix, Order, Profile, preference_matrix, transition_matrix
 from .errors import NonConvergence, NotADistribution
 from .graphalg import digraph, strongly_connected_components
@@ -59,8 +57,8 @@ def _rows_of(m):
     return m.rows if hasattr(m, "rows") else tuple(tuple(r) for r in m)
 
 
-def _perron_root(a, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
-    """Perron root of an irreducible nonnegative block.
+def _perron_root(block, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
+    """Perron root of an irreducible nonnegative block, given as rows.
 
     Power iteration on A + I from the uniform vector: the shift makes the
     block primitive, so the growth of the vector's sum converges
@@ -69,6 +67,9 @@ def _perron_root(a, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
     also needs the Collatz-Wielandt bracket min/max (Bx)_i / x_i, which
     holds the root, to be narrow.
     """
+    import numpy as np
+
+    a = np.array(block, dtype=float)
     b = a + np.eye(len(a))
     x = np.ones(len(a)) / len(a)
     prev = None
@@ -98,12 +99,12 @@ def spectral_radius(m) -> float:
     steps).
     """
     rows = _rows_of(m)
-    a = np.array([[float(x) for x in row] for row in rows])
     n = len(rows)
     support = digraph(range(n), [(i, j) for i in range(n) for j in range(n)
                                  if i != j and rows[i][j] != 0])
     roots = [
-        float(a[b[0], b[0]]) if len(b) == 1 else _perron_root(a[np.ix_(b, b)])
+        float(rows[b[0]][b[0]]) if len(b) == 1
+        else _perron_root([[float(rows[i][j]) for j in b] for i in b])
         for b in strongly_connected_components(support)
     ]
     return max(roots, default=0.0)
@@ -222,6 +223,8 @@ def _cesaro_exact(f):
 
 
 def _cesaro_float(rows):
+    import numpy as np
+
     n = len(rows)
     f = np.array([[float(x) for x in row] for row in rows])
     a = f - np.eye(n)

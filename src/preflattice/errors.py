@@ -29,6 +29,10 @@ class UnknownLabel(InputError):
     pass
 
 
+class AmbiguousLabel(InputError):
+    """A label that would make a printed order ambiguous."""
+
+
 class EmptyGroup(InputError):
     pass
 

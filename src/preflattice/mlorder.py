@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Bigraph, Order, enumerate_weak_orders
+from .core import Bigraph, Order, check_labels, enumerate_weak_orders
 from .errors import (
     CapExceeded,
     InputError,
@@ -267,8 +267,11 @@ def max_likelihood_order(t: ComparisonTally, candidates=None, mode: str = "subbi
     estimates' induced bigraph, or from full weak-order enumeration with
     mode="weak-orders". A candidate may also be a (order, EstimatePoint)
     pair to evaluate externally supplied restricted estimates verbatim.
+    Near-ties are broken by the printed order, so labels must keep it
+    unambiguous (see check_labels).
     """
     labels = t.labels()
+    check_labels(labels)
     raw = None
     if candidates is None:
         cap = vertex_cap(CANDIDATE_CAP)

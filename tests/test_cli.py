@@ -484,3 +484,69 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "13"
+
+
+# Runs each argv list through main in one fresh interpreter and reports,
+# per call, the exit code, stdout, and whether numpy has been imported.
+MAIN_IN_CHILD = """
+import contextlib, io, json, sys
+from preflattice.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    results.append([rc, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def main_in_child(argvs):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_IN_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_only_where_used(tmp_path, capsys):
+    profile = write_json(tmp_path / "borda4.json", BORDA4)
+    consensus = write_json(tmp_path / "consensus.json", {
+        "policies": ["a", "b", "c"],
+        "voters": [{"id": v, "ranking": [["a"], ["b"], ["c"]]} for v in ("v1", "v2")],
+    })
+    comparisons = write_worked_csv(tmp_path / "worked.csv")
+    poset_path = write_json(tmp_path / "poset.json", {
+        "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"]]})
+    tg = write_json(tmp_path / "tg.json", TG_GRAPH)
+    events = tmp_path / "events.csv"
+    events.write_text(SCENARIO_EVENTS, encoding="utf-8")
+    interests = write_json(tmp_path / "interests.json", {"threads": SCENARIO_THREADS})
+    numpy_free = [
+        ["count-orders", "5"],
+        ["enumerate-orders", "a", "b", "c"],
+        ["aggregate", profile],
+        ["borda", "--averaged", profile],
+        ["entropy", "--mode", "markov", profile],  # the exact path
+        ["entropy", "--mode", "topo", consensus],  # one-vertex blocks only
+        ["mlorder", comparisons],
+        ["mlorder", comparisons, "--mode", "all-weak"],
+        ["antichain", poset_path],
+        ["tg-check", tg, "--from", "s1", "--to", "s2"],
+        ["scenario-newsgroup", str(events), "--interests", interests],
+    ]
+    with_numpy = [
+        ["entropy", "--mode", "topo", write_json(tmp_path / "paradox.json", PARADOX)],
+        ["simulate", write_json(tmp_path / "config.json", SIM_CONFIG)],
+    ]
+    results = main_in_child(numpy_free + with_numpy)
+    for argv, (rc, out, numpy_loaded) in zip(numpy_free, results):
+        assert rc == 0 and out, argv
+        assert not numpy_loaded, argv
+    assert results[len(numpy_free)][2]  # a cyclic block takes the numpy path
+    # the paths that do use numpy still print what they print in process
+    for argv, (rc, out, _) in zip(numpy_free + with_numpy, results):
+        assert run_cli(argv, capsys) == (rc, out, ""), argv

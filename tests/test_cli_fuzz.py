@@ -305,6 +305,13 @@ PINNED = [
     # the comparisons header is recognised on the first non-blank row only
     (case("mlorder", "c.csv", **{"c.csv": "\n" + COMPARISONS}), 0),
     (case("mlorder", "c.csv", **{"c.csv": "1,2,>\n" + COMPARISONS}), 2),
+    # labels that would make a printed order ambiguous
+    (case("enumerate-orders", "a=b", "a", "b"), 2),
+    (case("enumerate-orders", "", "a"), 2),
+    (case("enumerate-orders", "a>b", "c"), 2),
+    (case("borda", "p.json", **{"p.json": json.dumps({
+        "policies": ["x>y", "z"], "voters": [{"id": "v", "ranking": [["z"], ["x>y"]]}]})}), 2),
+    (case("mlorder", "c.csv", "--mode", "all-weak", **{"c.csv": "a=b,a,>\na,b,<\n"}), 2),
 ]
 
 

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from preflattice.core import (
     transition_matrix,
 )
 from preflattice.errors import (
+    AmbiguousLabel,
     CapExceeded,
     DuplicateLabel,
     EmptyGroup,
@@ -82,6 +85,52 @@ def test_enumeration_count_property(n):
     orders = list(enumerate_weak_orders(labels))
     assert len(orders) == count_weak_orders(n)
     assert len(set(orders)) == len(orders)
+
+
+def enumerate_weak_orders_recursive(labels):
+    """The enumerator as one generator per label, each delegating to the
+    next: the reference for the single-stack version."""
+    labels = list(labels)
+
+    def build(i, groups):
+        if i == len(labels):
+            yield Order(tuple(tuple(sorted(g)) for g in groups))
+            return
+        lab = labels[i]
+        for gi in range(len(groups)):
+            yield from build(i + 1, groups[:gi] + [groups[gi] + [lab]] + groups[gi + 1:])
+        for gi in range(len(groups) + 1):
+            yield from build(i + 1, groups[:gi] + [[lab]] + groups[gi:])
+
+    yield from build(1, [[labels[0]]])
+
+
+def test_enumeration_matches_recursive_reference():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        labels = [f"x{i}" for i in range(n)]
+        for order in (labels, rng.sample(labels, n)):
+            assert list(enumerate_weak_orders(order)) == list(
+                enumerate_weak_orders_recursive(order)
+            ), order
+
+
+def test_enumeration_is_lazy(monkeypatch):
+    monkeypatch.setenv("PREFLATTICE_MAX_VERTICES", "10")
+    labels = [f"x{i}" for i in range(10)]
+    start = time.perf_counter()
+    first = next(enumerate_weak_orders(labels))
+    assert time.perf_counter() - start < 1.0
+    assert first == Order((tuple(sorted(labels)),))
+
+
+@pytest.mark.parametrize("labels", [["a=b", "a", "b"], ["a", ""], ["a>b", "c"]],
+                         ids=["tie-sign", "empty", "rank-sign"])
+def test_ambiguous_labels_are_refused(labels):
+    with pytest.raises(AmbiguousLabel):
+        next(enumerate_weak_orders(labels))
+    with pytest.raises(AmbiguousLabel):
+        make_order(labels, [labels])
 
 
 def test_make_order_canonicalizes_and_prints():
