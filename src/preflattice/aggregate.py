@@ -82,34 +82,6 @@ def common_indifferences(profile: Profile) -> frozenset:
     return frozenset(common)
 
 
-def _indifference_blocks(profile: Profile):
-    """Connected components of the common-indifference pairs, ordered by
-    first appearance in the policy list; labels join members with '='."""
-    pairs = common_indifferences(profile)
-    adj = {p: set() for p in profile.policies}
-    for pair in pairs:
-        u, v = tuple(pair)
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = set()
-    blocks = []
-    for p in profile.policies:
-        if p in seen:
-            continue
-        comp = {p}
-        stack = [p]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        blocks.append(tuple(sorted(comp)))
-    labels = tuple("=".join(b) for b in blocks)
-    return blocks, labels
-
-
 def _unanimity_pairs(q: LabeledMatrix):
     labs = q.labels
     return frozenset(
@@ -157,13 +129,18 @@ def _classify_unanimity_components(labels, unanimities):
 def aggregate_reach(profile: Profile):
     """Aggregate count matrix plus the unanimity report.
 
-    Commonly-indifferent policies are merged into single vertices first;
-    q_uv then counts the voters ranking u's block strictly above v's.
+    Commonly-indifferent policies are merged into single vertices first:
+    the weak components of the common-indifference pairs, in order of
+    first appearance in the policy list, labelled by their sorted members
+    joined with '='. q_uv then counts the voters ranking u's block
+    strictly above v's.
     A pair is unanimous when its against-count is zero and its for-count
     positive; a source has an all-zero column (nobody is ranked above it
     by any voter) and a sink an all-zero row.
     """
-    blocks, labels = _indifference_blocks(profile)
+    pairs = map(tuple, common_indifferences(profile))
+    blocks = weak_components(digraph(profile.policies, pairs))
+    labels = tuple("=".join(b) for b in blocks)
     reps = [b[0] for b in blocks]
     k = len(blocks)
     counts = [[0] * k for _ in range(k)]

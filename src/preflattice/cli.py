@@ -29,7 +29,7 @@ from .core import (
     make_order,
     profile_from_dict,
 )
-from .culture import build_topology, config_from_dict, run, snapshot
+from .culture import build_topology, config_from_dict, run_replicates, snapshot
 from .entropy import (
     markov_aggregate,
     markov_order,
@@ -37,7 +37,7 @@ from .entropy import (
     stationary_distribution,
     topological_entropy,
 )
-from .errors import InputError, ResourceError
+from .errors import AmbiguousLabel, InputError, ResourceError
 from .graphalg import max_antichain, poset, tg_connected, tg_graph_from_dict
 from .mlorder import max_likelihood_order, read_comparisons_csv, tally
 from .selforg import (
@@ -198,6 +198,11 @@ def cmd_borda(args) -> int:
 def cmd_mlorder(args) -> int:
     with open(args.comparisons, newline="", encoding="utf-8") as fh:
         t = tally(read_comparisons_csv(fh))
+    for label in t.labels():
+        if "," in label:
+            raise AmbiguousLabel(f"label {label!r} contains ',', which joins a pair key")
+    # every candidate's estimates cover exactly the tally's pairs
+    keyed_pairs = [(f"{a},{b}", (a, b)) for a, b in t.pairs()]
     candidates = None
     if args.candidates:
         data = _load_json(args.candidates)
@@ -222,8 +227,8 @@ def cmd_mlorder(args) -> int:
                 "weighted": report.weighted,
                 "log_likelihood": report.log_likelihood,
                 "pairs": {
-                    f"{a},{b}": shares(report.estimates.estimates[(a, b)])
-                    for a, b in sorted(report.estimates.estimates)
+                    key: shares(report.estimates.estimates[pair])
+                    for key, pair in keyed_pairs
                 },
             }
             for order, report in ranked
@@ -262,55 +267,49 @@ def cmd_simulate(args) -> int:
         raise InputError("--replicates must be at least 1")
     if args.snapshot_every < 0:
         raise InputError("--snapshot-every must not be negative")
-    # resolve the topology once, so a bad one fails before any output
+    # resolve the topology once, so a bad one fails before any run
     cfg = replace(cfg, topology=build_topology(cfg.topology))
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    header = ["t", "eta", "s_v", "s_c", "varieties"]
-    if args.replicates > 1:
-        header = ["seed"] + header
-    writer.writerow(header)
-    runs = []
-    for r in range(args.replicates):
-        cfg_r = replace(cfg, seed=cfg.seed + r)
-        observer = None
-        if args.snapshot_every:
-            os.makedirs(args.snapshot_dir, exist_ok=True)
+    observer = None
+    if args.snapshot_every:
+        os.makedirs(args.snapshot_dir, exist_ok=True)
 
-            def observer(t, fieldstate, _seed=cfg_r.seed):
-                if t % args.snapshot_every:
-                    return
-                path = os.path.join(
-                    args.snapshot_dir, f"snapshot_{_seed}_{t:06d}.csv"
-                )
-                with open(path, "w", newline="", encoding="utf-8") as fh:
-                    w = csv.writer(fh, lineterminator="\n")
-                    w.writerow(["x", "y", "h", "hhat", "variety_id"])
-                    w.writerows(snapshot(fieldstate))
+        def observer(t, fieldstate):
+            if t % args.snapshot_every:
+                return
+            name = f"snapshot_{fieldstate.config.seed}_{t:06d}.csv"
+            with open(os.path.join(args.snapshot_dir, name), "w",
+                      newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(["x", "y", "h", "hhat", "variety_id"])
+                w.writerows(snapshot(fieldstate))
 
-        result = run(cfg_r, observer=observer)
-        runs.append((cfg_r.seed, result))
-        for sample in result.series:
-            row = [sample.t, sample.eta, sample.s_v, sample.s_c, sample.varieties]
-            if args.replicates > 1:
-                row = [cfg_r.seed] + row
-            writer.writerow(row)
+    # every run and file write finishes before stdout, so a failure prints nothing
+    results = run_replicates(cfg, args.replicates, observer=observer)
     if args.report:
         summary = {
             "runs": [
                 {
-                    "seed": seed,
+                    "seed": res.field.config.seed,
                     "status": res.status,
                     "periods": res.periods,
                     "interactions": res.interactions_total,
                     "selections": res.selections_total,
                     "varieties": len(res.table.rows),
                 }
-                for seed, res in runs
+                for res in results
             ],
         }
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    header = ["t", "eta", "s_v", "s_c", "varieties"]
+    seeded = args.replicates > 1
+    writer.writerow(["seed"] + header if seeded else header)
+    for res in results:
+        for sample in res.series:
+            row = [sample.t, sample.eta, sample.s_v, sample.s_c, sample.varieties]
+            writer.writerow([res.field.config.seed] + row if seeded else row)
     return 0
 
 

@@ -5,11 +5,13 @@ best first. Strong orders are the tie-free special case. Profiles collect
 one order per voter over a shared policy set. Bigraphs hold directed
 preference edges D and undirected indifference edges C over the same
 labels. Counting and enumeration of weak orders (ordered Bell numbers)
-live here too, since everything downstream leans on them.
+live here too, since everything downstream leans on them, and so does
+the row reader that the comparisons and posting-event CSV readers share.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,6 +161,27 @@ def profile_from_dict(data) -> Profile:
             completed.append(vid)
         voters.append((vid, make_order(policies, ranking)))
     return Profile(tuple(policies), tuple(voters), tuple(completed))
+
+
+def csv_rows(fileobj, header):
+    """Yield (line number, stripped cells) for each non-blank CSV row.
+
+    Every row must have one cell per header name; a row equal to the
+    header is skipped when it is the first non-blank row. Line numbers
+    count blank rows too.
+    """
+    first = True
+    for lineno, row in enumerate(csv.reader(fileobj), start=1):
+        cells = tuple(cell.strip() for cell in row)
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise InputError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
+        if first:
+            first = False
+            if cells == header:
+                continue
+        yield lineno, cells
 
 
 def is_str_list(value) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import combinations, compress
 from operator import eq, ne
@@ -82,22 +82,15 @@ def mobian_circle_topology(n_agents: int, turn: int) -> Topology:
     return Topology("mobian-circle", tuple(neighbors), tuple(coords))
 
 
-def subset_levels(items):
-    """The nonempty subsets of items ordered by (size, sorted members),
-    and each one's (size, position among the subsets of that size)."""
-    items = sorted(items)
-    levels = [list(combinations(items, k)) for k in range(1, len(items) + 1)]
-    subsets = [frozenset(c) for level in levels for c in level]
-    coords = tuple((len(c), pos) for level in levels for pos, c in enumerate(level))
-    return subsets, coords
-
-
 def subset_tree_topology(n_features: int) -> Topology:
     """One agent per nonempty subset of the feature set (2^n - 1 agents),
-    adjacent when one subset covers the other (differs by one element)."""
+    adjacent when one subset covers the other (differs by one element).
+    Agents follow (size, sorted members) order, and an agent's coordinates
+    are its size and its position among the subsets of that size."""
     if n_features < 1:
         raise InputError("subset tree needs at least one feature")
-    subsets, coords = subset_levels(range(n_features))
+    levels = [list(combinations(range(n_features), k)) for k in range(1, n_features + 1)]
+    subsets = [frozenset(c) for level in levels for c in level]
     index = {s: i for i, s in enumerate(subsets)}
     neighbors = [[] for _ in subsets]
     for s, i in index.items():
@@ -110,7 +103,7 @@ def subset_tree_topology(n_features: int) -> Topology:
     return Topology(
         "subset-tree",
         tuple(tuple(sorted(n)) for n in neighbors),
-        coords,
+        tuple((len(c), pos) for level in levels for pos, c in enumerate(level)),
     )
 
 
@@ -278,33 +271,12 @@ class VarietyTable:
 class RunResult:
     series: list
     table: VarietyTable
-    stasis: bool
     periods: int
     status: str  # "static" | "limit"
     variety_trace: tuple  # variety counts over the final window
     field: Field
     interactions_total: int
     selections_total: int
-
-
-def similarity(x, y) -> int:
-    if len(x) != len(y):
-        raise LengthMismatch("agents have different feature counts")
-    return sum(1 for a, b in zip(x, y) if a == b)
-
-
-def distance(x, y) -> int:
-    return len(x) - similarity(x, y)
-
-
-def interaction_allowed(x, y, cfg: CultureConfig, draw: float) -> bool:
-    """Pass test: at least one shared and one differing feature, and the
-    scaled distance (k*d + epsilon) falls below the chance draw."""
-    s = similarity(x, y)
-    if not 1 <= s <= cfg.n_features - 1:
-        return False
-    d = cfg.n_features - s
-    return cfg.k_effective * d + cfg.epsilon < draw
 
 
 def _sweep(agents, neighbors, selections, thr, peer, rng) -> int:
@@ -548,10 +520,11 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     window = cfg.stasis_window
 
     series = []
-    trace = []
+    trace = deque(maxlen=window)  # variety counts over the last window
     prev_varieties = len(_variety_counts(fieldstate))
     streak = 0
     interactions_total = 0
+    status = "limit"
 
     for t in range(1, cfg.max_periods + 1):
         interactions = _sweep(agents, neighbors, selections, thr, peer, rng)
@@ -567,8 +540,6 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
             )
         )
         trace.append(varieties)
-        if len(trace) > window:
-            trace.pop(0)
         if interactions == 0 and varieties == prev_varieties:
             streak += 1
         else:
@@ -577,36 +548,28 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
         if observer is not None:
             observer(t, fieldstate)
         if streak >= window:
-            return RunResult(
-                series=series,
-                table=variety_table(fieldstate),
-                stasis=True,
-                periods=t,
-                status="static",
-                variety_trace=tuple(trace),
-                field=fieldstate,
-                interactions_total=interactions_total,
-                selections_total=t * selections,
-            )
+            status = "static"
+            break
     return RunResult(
         series=series,
         table=variety_table(fieldstate),
-        stasis=False,
-        periods=cfg.max_periods,
-        status="limit",
+        periods=t,
+        status=status,
         variety_trace=tuple(trace),
         field=fieldstate,
         interactions_total=interactions_total,
-        selections_total=cfg.max_periods * selections,
+        selections_total=t * selections,
     )
 
 
-def run_replicates(cfg: CultureConfig, replicates: int, initial=None):
-    """Serial replicate runs seeded cfg.seed, cfg.seed+1, ..."""
+def run_replicates(cfg: CultureConfig, replicates: int, initial=None, observer=None):
+    """Serial replicate runs seeded cfg.seed, cfg.seed+1, ...; the observer
+    sees every replicate's periods and can tell them apart by
+    ``fieldstate.config.seed``."""
     if replicates < 1:
         raise InputError("need at least one replicate")
     return [
-        run(replace(cfg, seed=cfg.seed + r), initial=initial)
+        run(replace(cfg, seed=cfg.seed + r), initial=initial, observer=observer)
         for r in range(replicates)
     ]
 

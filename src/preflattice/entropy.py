@@ -47,7 +47,6 @@ class StationaryResult:
 
     labels: tuple[str, ...]
     distribution: tuple
-    iterations: int
     residual: float
     exact: bool
     method: str
@@ -264,7 +263,6 @@ def stationary_distribution(m: LabeledMatrix) -> StationaryResult:
         return StationaryResult(
             labels=m.labels,
             distribution=tuple(y),
-            iterations=0,
             residual=0.0,
             exact=True,
             method="rational-projector",
@@ -280,7 +278,6 @@ def stationary_distribution(m: LabeledMatrix) -> StationaryResult:
     return StationaryResult(
         labels=m.labels,
         distribution=tuple(y),
-        iterations=0,
         residual=residual,
         exact=False,
         method="least-squares",

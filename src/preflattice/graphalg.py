@@ -96,39 +96,8 @@ def hamiltonian_paths(g: Digraph):
     return paths
 
 
-def count_hamiltonian_paths(g: Digraph) -> int:
-    """Subset-DP count of Hamiltonian paths (no enumeration)."""
-    cap = vertex_cap(HAMILTONIAN_CAP)
-    n = len(g.vertices)
-    if n > cap:
-        raise CapExceeded(f"path count over {n} vertices exceeds the cap of {cap}")
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    succ = [0] * n
-    for u, v in g.edges:
-        succ[idx[u]] |= 1 << idx[v]
-    # dp[mask][v] = number of paths covering mask and ending at v
-    dp = [dict() for _ in range(1 << n)]
-    for v in range(n):
-        dp[1 << v][v] = 1
-    total = 0
-    full = (1 << n) - 1
-    for mask in range(1 << n):
-        for v, cnt in dp[mask].items():
-            if mask == full:
-                total += cnt
-                continue
-            nxt = succ[v] & ~mask
-            while nxt:
-                low = nxt & -nxt
-                w = low.bit_length() - 1
-                m2 = mask | low
-                dp[m2][w] = dp[m2].get(w, 0) + cnt
-                nxt ^= low
-    return total if n > 0 else 0
-
-
 # ---------------------------------------------------------------------------
-# bigraphs: circuits and maximal circuit-free sub-bigraphs
+# bigraphs: maximal circuit-free sub-bigraphs
 
 def _mixed_adjacency(b: Bigraph):
     """Directed view of C u D: C edges are traversable both ways."""
@@ -140,32 +109,6 @@ def _mixed_adjacency(b: Bigraph):
         adj[u].add(v)
         adj[v].add(u)
     return adj
-
-
-def _mixed_reachable(adj, start, goal):
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            return True
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
-def has_circuit(b: Bigraph) -> bool:
-    """A circuit is a closed walk on distinct vertices using at least one
-    directed edge, with C edges traversable in both directions.
-
-    One exists iff some D edge (u,v) has u reachable from v in the mixed
-    graph: the return walk plus the edge closes a circuit, and any closed
-    walk through a D edge contains such a configuration.
-    """
-    adj = _mixed_adjacency(b)
-    return any(_mixed_reachable(adj, v, u) for u, v in b.d_edges)
 
 
 def completed_bigraph(b: Bigraph) -> tuple[Bigraph, frozenset]:

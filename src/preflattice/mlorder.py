@@ -7,12 +7,11 @@ ranking of candidate orders by total uncertainty.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Bigraph, Order, check_labels, enumerate_weak_orders
+from .core import Bigraph, Order, check_labels, csv_rows, enumerate_weak_orders
 from .errors import (
     CapExceeded,
     InputError,
@@ -98,20 +97,7 @@ def tally(comparisons) -> ComparisonTally:
 def read_comparisons_csv(fileobj):
     """Rows ``i,j,outcome``; a header row with those names is skipped when
     it is the first non-blank row."""
-    rows = []
-    first_row = True
-    for lineno, row in enumerate(csv.reader(fileobj), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise InputError(f"line {lineno}: expected 3 columns, got {len(row)}")
-        i, j, outcome = (cell.strip() for cell in row)
-        if first_row:
-            first_row = False
-            if (i, j, outcome) == ("i", "j", "outcome"):
-                continue
-        rows.append((i, j, outcome))
-    return rows
+    return [cells for _, cells in csv_rows(fileobj, ("i", "j", "outcome"))]
 
 
 def raw_estimates(t: ComparisonTally) -> EstimatePoint:

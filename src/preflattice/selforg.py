@@ -4,21 +4,18 @@ A posting protocol decides which contributions count; counted interests
 become two-ply preference orders; subscribers partition into interest-set
 groups that elect managers, order themselves by cross-posting likelihood,
 gate postings by topological adjacency, and derive precedent rules from
-grant logs. Bridges at the end map group structures onto the cultural
-evolution simulator.
+grant logs.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Order, make_order
-from .culture import CultureConfig, Field, Topology, subset_levels
+from .core import Order, csv_rows, make_order
 from .errors import (
     EmptyGroup,
     InputError,
@@ -87,20 +84,9 @@ def read_postings_csv(fileobj):
     """Rows ``t,subscriber,thread,kind,parent`` (parent empty for
     initiations); a header row with those names is skipped when it is
     the first non-blank row."""
+    header = ("t", "subscriber", "thread", "kind", "parent")
     events = []
-    first_row = True
-    for lineno, row in enumerate(csv.reader(fileobj), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 5:
-            raise InputError(f"line {lineno}: expected 5 columns, got {len(row)}")
-        t, subscriber, thread, kind, parent = (cell.strip() for cell in row)
-        if first_row:
-            first_row = False
-            if (t, subscriber, thread, kind, parent) == (
-                "t", "subscriber", "thread", "kind", "parent",
-            ):
-                continue
+    for lineno, (t, subscriber, thread, kind, parent) in csv_rows(fileobj, header):
         try:
             t_val = int(t)
             parent_val = int(parent) if parent else None
@@ -485,79 +471,3 @@ def derive_precedents(grants):
                 )
                 ordering.append((b, a))  # broader role outranks narrower
     return rules, tuple(sorted(ordering)), merges
-
-
-def encode_order(order: Order) -> tuple:
-    """Pairwise code over sorted label pairs: 1 when the first label is
-    strictly preferred, -1 when the second is, 0 on a tie."""
-    rank = order.ranks()
-    labels = sorted(rank)
-    codes = []
-    for a, b in combinations(labels, 2):
-        if rank[a] < rank[b]:
-            codes.append(1)
-        elif rank[a] > rank[b]:
-            codes.append(-1)
-        else:
-            codes.append(0)
-    return tuple(codes)
-
-
-def decode_order(policies, codes) -> Order:
-    """Inverse of encode_order; rejects code vectors that are not the
-    encoding of any weak order."""
-    labels = sorted(policies)
-    pairs = list(combinations(labels, 2))
-    if len(codes) != len(pairs):
-        raise InputError(
-            f"expected {len(pairs)} pair codes for {len(labels)} policies"
-        )
-    wins = {p: 0 for p in labels}
-    for (a, b), code in zip(pairs, codes):
-        if code == 1:
-            wins[a] += 1
-        elif code == -1:
-            wins[b] += 1
-        elif code != 0:
-            raise InputError(f"pair code {code!r} is not 1, -1, or 0")
-    groups = {}
-    for p in labels:
-        groups.setdefault(wins[p], []).append(p)
-    order = make_order(
-        labels, [groups[w] for w in sorted(groups, reverse=True)]
-    )
-    if encode_order(order) != tuple(codes):
-        raise InputError("pair codes do not form a consistent weak order")
-    return order
-
-
-def groups_to_field(interests, mode: str = "subset-lattice", behavior: str = "Egoistic",
-                    seed: int = 0, max_periods: int = 1000) -> Field:
-    """Newsgroup playing field as a culture population: one agent per
-    interest subset, binary traits marking membership, adjacency from the
-    chosen group topology. Agents follow (subset size, members) order."""
-    names = _interest_names(interests)
-    topo_graph = group_topology(names, mode)
-    subsets, coords = subset_levels(names)
-    index = {group_label(s): i for i, s in enumerate(subsets)}
-    neighbors = [set() for _ in subsets]
-    for u, v in topo_graph.edges:
-        neighbors[index[u]].add(index[v])
-        neighbors[index[v]].add(index[u])
-    topology = Topology(
-        kind=f"group-{mode}",
-        neighbors=tuple(tuple(sorted(n)) for n in neighbors),
-        coords=coords,
-    )
-    config = CultureConfig(
-        n_features=len(names),
-        traits_per_feature=2,
-        topology=topology,
-        behavior=behavior,
-        seed=seed,
-        max_periods=max_periods,
-    )
-    agents = [
-        [1 if f in s else 0 for f in names] for s in subsets
-    ]
-    return Field(config=config, topology=topology, agents=agents)

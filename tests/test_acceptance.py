@@ -33,7 +33,6 @@ from preflattice.culture import (
     Field,
     build_topology,
     run,
-    similarity,
     variety_entropy,
 )
 from preflattice.entropy import (
@@ -44,7 +43,7 @@ from preflattice.entropy import (
     topological_entropy,
 )
 from preflattice.errors import SelfFollowup
-from preflattice.graphalg import count_hamiltonian_paths, digraph, max_antichain, poset
+from preflattice.graphalg import digraph, max_antichain, poset
 from preflattice.mlorder import (
     max_likelihood_order,
     restrict_estimates,
@@ -57,6 +56,7 @@ from preflattice.selforg import (
     partition_subscribers,
     validate_protocol,
 )
+from oracles import count_hamiltonian_paths, similarity
 from test_graphalg import _brute_max_antichain
 import worked_example as wx
 

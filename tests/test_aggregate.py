@@ -240,3 +240,54 @@ def test_condense_is_a_partition(profile):
     assert merged == original
     for p, bi in cg.mapping.items():
         assert p in cg.blocks[bi]
+
+
+def _indifference_blocks(profile):
+    """Components of the common-indifference pairs by depth-first search,
+    in order of first appearance in the policy list, members sorted."""
+    adj = {p: set() for p in profile.policies}
+    for pair in common_indifferences(profile):
+        u, v = tuple(pair)
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = set()
+    blocks = []
+    for p in profile.policies:
+        if p in seen:
+            continue
+        comp = {p}
+        stack = [p]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        blocks.append(tuple(sorted(comp)))
+    return blocks
+
+
+@st.composite
+def tied_profiles(draw):
+    """Voters with many ties over a policy list in shuffled order, so
+    common indifferences are frequent and blocks do not follow label order."""
+    labels = "abcdefg"[:draw(st.integers(1, 7))]
+    voters = []
+    for i in range(draw(st.integers(1, 3))):
+        groups = []
+        for label in draw(st.permutations(labels)):
+            if groups and draw(st.integers(0, 2)):
+                groups[-1].append(label)
+            else:
+                groups.append([label])
+        voters.append({"id": f"v{i}", "ranking": groups})
+    return profile_from_dict({"policies": draw(st.permutations(labels)), "voters": voters})
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_profiles())
+def test_blocks_are_indifference_components_in_policy_order(profile):
+    agg, _ = aggregate_reach(profile)
+    blocks = _indifference_blocks(profile)
+    assert agg.blocks == tuple(blocks)
+    assert agg.q.labels == tuple("=".join(b) for b in blocks)

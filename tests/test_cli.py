@@ -347,6 +347,27 @@ def test_simulate_snapshots(tmp_path, capsys):
     assert header == "x,y,h,hhat,variety_id"
 
 
+@pytest.mark.parametrize("case", ["snapshot-dir-under-a-file", "snapshot-name-taken",
+                                  "report-is-a-directory"])
+def test_simulate_fails_before_any_output(tmp_path, capsys, case):
+    path = write_json(tmp_path / "config.json", SIM_CONFIG)
+    snap_dir = tmp_path / "snaps"
+    argv = ["simulate", path, "--replicates", "2",
+            "--snapshot-every", "5", "--snapshot-dir", str(snap_dir)]
+    if case == "snapshot-dir-under-a-file":
+        argv[-1] = os.path.join(path, "snaps")
+    elif case == "snapshot-name-taken":
+        # the second replicate's first snapshot, after the first one's rows
+        (snap_dir / "snapshot_8_000005.csv").mkdir(parents=True)
+    else:
+        argv += ["--report", str(tmp_path)]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert set(json.loads(err)) == {"error", "message"}
+
+
 def sim_config(**overrides):
     return {**SIM_CONFIG, **overrides}
 

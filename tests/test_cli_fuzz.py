@@ -312,6 +312,8 @@ PINNED = [
     (case("borda", "p.json", **{"p.json": json.dumps({
         "policies": ["x>y", "z"], "voters": [{"id": "v", "ranking": [["z"], ["x>y"]]}]})}), 2),
     (case("mlorder", "c.csv", "--mode", "all-weak", **{"c.csv": "a=b,a,>\na,b,<\n"}), 2),
+    # a comma in a label would make two pairs print the same "a,b,c" key
+    (case("mlorder", "c.csv", **{"c.csv": '"a,b",c,>\na,"b,c",<\na,c,=\n'}), 2),
 ]
 
 

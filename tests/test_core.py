@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import time
@@ -26,6 +27,8 @@ from preflattice.errors import (
     MissingLabel,
     UnknownLabel,
 )
+from preflattice.mlorder import read_comparisons_csv, tally
+from preflattice.selforg import read_postings_csv
 
 ORDERED_BELL = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
 
@@ -228,3 +231,30 @@ def test_transition_rows_stochastic_property(n, rng):
     for mode in ("climb-one-rung", "jump-to-top"):
         m = transition_matrix(o, mode=mode)
         assert all(sum(row) == 1 for row in m.rows)
+
+
+# Both CSV readers go through core.csv_rows; each is paired with what
+# refuses a stray header row read as data (the tally refuses the outcome
+# "outcome", the postings reader the time "t").
+CSV_READERS = {
+    "comparisons": ("i,j,outcome", "a,b,>", lambda fh: tally(read_comparisons_csv(fh)).counts),
+    "postings": ("t,subscriber,thread,kind,parent", "1,alice,m1,initiate,", read_postings_csv),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_READERS))
+def test_csv_readers_share_row_rules(name):
+    header, row, parse = CSV_READERS[name]
+
+    def read(text):
+        return parse(io.StringIO(text))
+
+    columns = len(header.split(","))
+    # line numbers count the blank rows
+    with pytest.raises(InputError, match=f"^line 5: expected {columns} columns, got 2$"):
+        read(f"\n{header}\n\n{row}\nx,y\n")
+    # the header is skipped when blank rows come first
+    assert read(f"\n{',' * (columns - 1)}\n{header}\n{row}\n") == read(f"{row}\n")
+    # but not after data
+    with pytest.raises(InputError):
+        read(f"{row}\n{header}\n")

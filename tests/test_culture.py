@@ -16,21 +16,20 @@ from preflattice.culture import (
     classify_epochs,
     compatibility_entropy,
     config_from_dict,
-    distance,
     identity_metric,
-    interaction_allowed,
     make_field,
     mobian_circle_topology,
     run,
     run_replicates,
-    similarity,
     snapshot,
     square_topology,
     subset_tree_topology,
     variety_entropy,
     variety_table,
 )
-from preflattice.errors import InputError, LengthMismatch, SeriesTooShort
+from preflattice.errors import InputError, SeriesTooShort
+
+from oracles import interaction_allowed
 
 
 def small_cfg(**overrides):
@@ -84,13 +83,6 @@ def test_build_topology_validation():
         build_topology({"kind": "donut"})
     with pytest.raises(InputError):
         build_topology({"rows": 3})
-
-
-def test_similarity_and_distance():
-    assert similarity([1, 2, 3], [1, 5, 3]) == 2
-    assert distance([1, 2, 3], [1, 5, 3]) == 1
-    with pytest.raises(LengthMismatch):
-        similarity([1], [1, 2])
 
 
 def test_interaction_needs_partial_overlap():

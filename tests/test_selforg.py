@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preflattice.core import enumerate_weak_orders, make_order
 from preflattice.errors import (
     EmptyGroup,
     InputError,
@@ -21,14 +20,11 @@ from preflattice.selforg import (
     KINDS,
     GroupAssignment,
     PostingEvent,
-    decode_order,
     derive_precedents,
     elect_managers,
-    encode_order,
     extract_prefs,
     group_order,
     group_topology,
-    groups_to_field,
     partition_subscribers,
     read_postings_csv,
     referral_check,
@@ -406,39 +402,3 @@ def test_precedents_accept_dict_records():
     assert ordering == (("C", "D"),)
     with pytest.raises(InputError):
         derive_precedents([{"accessor": "u1"}])
-
-
-def test_encode_decode_round_trip_small():
-    order = make_order("abc", [["b"], ["a", "c"]])
-    codes = encode_order(order)
-    assert codes == (-1, 0, 1)  # pairs (a,b), (a,c), (b,c)
-    assert decode_order("abc", codes) == order
-    strict = decode_order("abc", (1, 1, 1))  # a>b, a>c, b>c
-    assert str(strict) == "a>b>c"
-    with pytest.raises(InputError):
-        decode_order("abc", (1, 1))
-    with pytest.raises(InputError):
-        decode_order("abc", (2, 0, 0))
-    with pytest.raises(InputError):
-        decode_order("abc", (1, -1, 1))  # a>b, c>a, b>c is a cycle
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=120))
-def test_encode_decode_round_trip_property(idx):
-    orders = list(enumerate_weak_orders("abcd"))
-    order = orders[idx % len(orders)]
-    assert decode_order("abcd", encode_order(order)) == order
-
-
-def test_groups_to_field_shape():
-    field = groups_to_field(3, mode="subset-lattice")
-    assert field.topology.kind == "group-subset-lattice"
-    assert len(field.agents) == 7
-    assert field.config.traits_per_feature == 2
-    # membership vectors are binary and unique
-    seen = set()
-    for vec in field.agents:
-        assert set(vec) <= {0, 1}
-        seen.add(tuple(vec))
-    assert len(seen) == 7
