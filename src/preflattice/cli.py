@@ -295,6 +295,7 @@ def cmd_simulate(args) -> int:
                     "interactions": res.interactions_total,
                     "selections": res.selections_total,
                     "varieties": len(res.table.rows),
+                    "rejections": res.rejections,
                 }
                 for res in results
             ],

@@ -167,11 +167,15 @@ def csv_rows(fileobj, header):
     """Yield (line number, stripped cells) for each non-blank CSV row.
 
     Every row must have one cell per header name; a row equal to the
-    header is skipped when it is the first non-blank row. Line numbers
-    count blank rows too.
+    header is skipped when it is the first non-blank row. A row's line
+    number is the physical line its record starts on, so blank lines and
+    quoted cells holding newlines count too.
     """
     first = True
-    for lineno, row in enumerate(csv.reader(fileobj), start=1):
+    reader = csv.reader(fileobj)
+    start = 1  # the physical line the next record starts on
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         cells = tuple(cell.strip() for cell in row)
         if not any(cells):
             continue

@@ -1,10 +1,11 @@
 """Cultural evolution on a topology of agents.
 
-Agents carry trait vectors; each selection picks an agent, one of its
-neighbors, and a chance draw, and on a pass the agent copies one differing
-trait from the neighbor (Egoistic) or does so only with a seconding
-neighbor (PeerPossible). Activity, variety entropy, and compatibility
-entropy are sampled per period until stasis or a period limit.
+Agents carry trait vectors, each held as one packed int (TraitCodec);
+each selection picks an agent, one of its neighbors, and a chance draw, and
+on a pass the agent copies one differing trait from the neighbor (Egoistic)
+or does so only with a seconding neighbor (PeerPossible). Activity, variety
+entropy, and compatibility entropy are sampled per period until stasis or a
+period limit.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from itertools import combinations, compress
-from operator import eq, ne
+from itertools import combinations
 
 from .errors import InputError, LengthMismatch, SeriesTooShort
 
 BEHAVIORS = ("Egoistic", "PeerPossible")
 INIT_MODES = ("uniform", "dice-mix")
-DIRECT_PAIRS = 16  # most varieties whose compatible pairs are found without numpy
+DIRECT_PAIRS = 144  # most varieties whose compatible pairs are found without numpy
 
 
 @dataclass(frozen=True)
@@ -224,17 +224,64 @@ def config_from_dict(data) -> CultureConfig:
     return CultureConfig(**data)
 
 
-@dataclass
-class Field:
-    """A mutable population: one trait vector per agent on a topology."""
+class TraitCodec:
+    """One int per trait vector: feature f's trait sits in bits
+    [f*w, f*w + B) with B = max(1, (q-1).bit_length()) and w = B + 1, and
+    bit f*w + B is a guard that stays 0 in every code.
 
-    config: CultureConfig
-    topology: Topology
-    agents: list  # list of list[int]
+    ``ones`` holds 2^B - 1 in every field and ``guards`` every guard bit.
+    Adding ``ones`` to ``x ^ z`` carries into the guard of each field where
+    the two codes differ and past no guard, so ``(x ^ z) + ones & guards``
+    marks the differing features and its bit count is the pair's distance
+    (a broadword field test, Knuth TAOCP 4A, 7.1.3). Codes of different
+    vectors differ, and ``Counter`` of codes counts varieties.
+    """
+
+    __slots__ = ("n", "bits", "width", "ones", "guards")
+
+    def __init__(self, n: int, q: int):
+        self.n = n
+        self.bits = max(1, (q - 1).bit_length())
+        self.width = self.bits + 1
+        self.ones = sum(((1 << self.bits) - 1) << f * self.width for f in range(n))
+        self.guards = sum(1 << (f * self.width + self.bits) for f in range(n))
+
+    def pack(self, vec) -> int:
+        width = self.width
+        code = 0
+        for trait in reversed(vec):
+            code = code << width | trait
+        return code
+
+    def unpack(self, code: int) -> tuple:
+        mask = (1 << self.bits) - 1
+        return tuple(code >> f * self.width & mask for f in range(self.n))
+
+
+class Field:
+    """A mutable population on a topology, built from one trait vector per
+    agent and held as one packed code per agent (see TraitCodec)."""
+
+    def __init__(self, config: CultureConfig, topology: Topology, agents):
+        self.config = config
+        self.topology = topology
+        self.codec = TraitCodec(config.n_features, config.traits_per_feature)
+        for vec in agents:
+            if len(vec) != config.n_features:
+                raise LengthMismatch("initial agent has wrong feature count")
+            if min(vec) < 0 or max(vec) >= config.traits_per_feature:
+                raise InputError("initial trait out of range")
+        self.codes = list(map(self.codec.pack, agents))
+
+    @property
+    def agents(self) -> tuple:
+        """The trait vectors, unpacked afresh on each read: a read-only
+        tuple of tuples."""
+        return tuple(map(self.codec.unpack, self.codes))
 
     @property
     def size(self) -> int:
-        return len(self.agents)
+        return len(self.codes)
 
     @property
     def n(self) -> int:
@@ -277,18 +324,34 @@ class RunResult:
     field: Field
     interactions_total: int
     selections_total: int
+    rejected: tuple  # selections refused by the pass test, by distance d = 0..n
+    no_seconder: int  # passed selections that found no seconder
+
+    @property
+    def rejections(self) -> dict:
+        """Selections that did not interact, by reason: an identical pair
+        (d = 0), no shared trait (d = n), a draw at or above ``thr[d]``,
+        and no seconder under PeerPossible."""
+        return {
+            "identical_pair": self.rejected[0],
+            "no_shared_trait": self.rejected[-1],
+            "draw_at_or_above_threshold": sum(self.rejected[1:-1]),
+            "no_seconder": self.no_seconder,
+        }
 
 
-def _sweep(agents, neighbors, selections, thr, peer, rng) -> int:
-    """One period of selections on the agents, in place; returns how many
-    of them interacted.
+def _sweep(codes, hoods, selections, thr, peer, rng, codec, rejected):
+    """One period of selections on the packed agents, in place; returns
+    (interactions, passed selections without a seconder) and adds each
+    pass-test refusal to ``rejected[d]``. ``hoods`` holds, per agent, its
+    neighbors, their count and the count's bit length.
 
     Each selection draws an agent, one of its neighbors and a chance
     ``draw``; it passes when ``thr[d] < draw`` for the pair's distance d
     (``thr`` is infinite at d = 0 and d = n, which need at least one shared
-    and one differing feature). A pass draws the differing feature to copy.
-    Under PeerPossible the copy also needs a seconder among the agent's
-    other neighbors, checked before the copy:
+    and one differing feature). A pass draws the differing feature to copy,
+    the j-th in feature order. Under PeerPossible the copy also needs a
+    seconder among the agent's other neighbors, checked before the copy:
 
     (a) the seconder already holds the candidate trait on the chosen
         feature and differs from the donor on some feature the agent and
@@ -297,56 +360,65 @@ def _sweep(agents, neighbors, selections, thr, peer, rng) -> int:
         lacking the candidate trait.
 
     Without one, no copy happens and the selection is not an interaction.
+    Every test is one mask operation on the codes (see TraitCodec).
     Bounded draws repeat ``Random.randrange``: ``getrandbits`` of the
     bound's bit length, redrawn while out of range, so the stream is the
     one a per-selection ``randrange`` loop consumes.
     """
     getrandbits = rng.getrandbits
     chance = rng.random
-    size = len(agents)
+    size = len(codes)
     size_bits = size.bit_length()
-    n = len(thr) - 1
-    features = range(n)
-    interactions = 0
+    ones, guards, bits = codec.ones, codec.guards, codec.bits
+    refused_before = sum(rejected)
+    interactions = no_seconder = 0
     for _ in range(selections):
         x_idx = getrandbits(size_bits)
         while x_idx >= size:
             x_idx = getrandbits(size_bits)
-        nbrs = neighbors[x_idx]
-        m = len(nbrs)
-        bits = m.bit_length()
-        j = getrandbits(bits)
+        nbrs, m, nbits = hoods[x_idx]
+        j = getrandbits(nbits)
         while j >= m:
-            j = getrandbits(bits)
+            j = getrandbits(nbits)
         z_idx = nbrs[j]
         draw = chance()
-        x = agents[x_idx]
-        z = agents[z_idx]
-        d = n - sum(map(eq, x, z))
+        x = codes[x_idx]
+        z = codes[z_idx]
+        if x == z:
+            continue  # an identical pair (d = 0), tallied after the loop
+        differ = (x ^ z) + ones & guards
+        d = differ.bit_count()
         if not thr[d] < draw:
+            rejected[d] += 1
             continue
-        bits = d.bit_length()
-        j = getrandbits(bits)
+        nbits = d.bit_length()
+        j = getrandbits(nbits)
         while j >= d:
-            j = getrandbits(bits)
-        f = list(compress(features, map(ne, x, z)))[j]
-        zf = z[f]
+            j = getrandbits(nbits)
+        rest = differ
+        for _ in range(j):
+            rest &= rest - 1
+        guard = rest & -rest
+        trait_bits = guard - (guard >> bits)  # the chosen feature's field
         if peer:
-            shared = list(compress(features, map(eq, x, z)))
+            shared = guards ^ differ
             for y_idx in nbrs:
                 if y_idx == z_idx:
                     continue
-                y = agents[y_idx]
-                if y[f] == zf:
-                    if any(y[i] != z[i] for i in shared):
+                yz = codes[y_idx] ^ z
+                if yz & trait_bits:
+                    if yz + ones & guards != guards:
                         break
-                elif any(map(eq, y, z)):
+                elif yz + ones & shared:
                     break
             else:
+                no_seconder += 1
                 continue
-        x[f] = zf
+        codes[x_idx] = x ^ (x ^ z) & trait_bits
         interactions += 1
-    return interactions
+    refused = sum(rejected) - refused_before
+    rejected[0] += selections - interactions - no_seconder - refused
+    return interactions, no_seconder
 
 
 def identity_metric(agent, q: int):
@@ -359,8 +431,9 @@ def identity_metric(agent, q: int):
 
 
 def _variety_counts(fieldstate: Field) -> Counter:
-    """Agents per distinct trait vector, in order of first appearance."""
-    return Counter(map(tuple, fieldstate.agents))
+    """Agents per distinct code (trait vector), in order of first
+    appearance."""
+    return Counter(fieldstate.codes)
 
 
 def variety_entropy(fieldstate: Field) -> float:
@@ -377,22 +450,25 @@ def variety_entropy(fieldstate: Field) -> float:
     return total / math.log(n_agents)
 
 
-def _compatible_variety_pairs(varieties):
-    """Index pairs (a, b), a < b in row-major order, of distinct varieties
-    sharing at least one trait; distinct varieties always differ somewhere,
-    so sharing is the whole compatibility test.
+def _compatible_variety_pairs(varieties, codec: TraitCodec):
+    """Index pairs (a, b), a < b in row-major order, of distinct variety
+    codes sharing at least one trait; distinct varieties always differ
+    somewhere, so sharing is the whole compatibility test.
 
-    Up to DIRECT_PAIRS varieties are tested pair by pair, where numpy's
-    per-call cost would dominate. More get a V x V shared-trait mask built
-    one feature at a time, so memory stays V^2 rather than V^2 * n.
+    Up to DIRECT_PAIRS varieties are tested pair by pair on the codes, a
+    pair sharing a trait when not every guard of their difference is set,
+    where numpy's import and per-call cost would dominate. More get a V x V
+    shared-trait mask built one feature at a time, so memory stays V^2
+    rather than V^2 * n.
     """
     v = len(varieties)
     if v <= DIRECT_PAIRS:
-        return [(a, b) for a, b in combinations(range(v), 2)
-                if any(map(eq, varieties[a], varieties[b]))]
+        ones, guards = codec.ones, codec.guards
+        return [(a, b) for a, u in enumerate(varieties) for b in range(a + 1, v)
+                if (u ^ varieties[b]) + ones & guards != guards]
     import numpy as np
 
-    traits = np.array(varieties)
+    traits = np.array([codec.unpack(code) for code in varieties])
     shared = np.zeros((v, v), dtype=bool)
     for column in traits.T:
         shared |= column[:, None] == column[None, :]
@@ -410,7 +486,7 @@ def compatibility_entropy(fieldstate: Field) -> float:
     counts = _variety_counts(fieldstate)
     sizes = list(counts.values())
     events = []
-    for a, b in _compatible_variety_pairs(list(counts)):
+    for a, b in _compatible_variety_pairs(list(counts), fieldstate.codec):
         nu, nv = sizes[a], sizes[b]
         events.append(
             (nu / n_agents) * (nv / (n_agents - nu))
@@ -428,19 +504,19 @@ def variety_table(fieldstate: Field) -> VarietyTable:
     with the ranks of the varieties it could interact with."""
     counts = _variety_counts(fieldstate)
     varieties = list(counts)
-    ordered = sorted(
-        counts.items(), key=lambda kv: (-kv[1], ",".join(map(str, kv[0])))
-    )
+    unpack = fieldstate.codec.unpack
+    identity = {v: ",".join(map(str, unpack(v))) for v in varieties}
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], identity[kv[0]]))
     rank_of = {v: i + 1 for i, (v, _) in enumerate(ordered)}
     compat = {v: set() for v in counts}
-    for a, b in _compatible_variety_pairs(varieties):
+    for a, b in _compatible_variety_pairs(varieties, fieldstate.codec):
         u, v = varieties[a], varieties[b]
         compat[u].add(rank_of[v])
         compat[v].add(rank_of[u])
     rows = tuple(
         VarietyRow(
             order=i + 1,
-            identity=",".join(map(str, v)),
+            identity=identity[v],
             count=c,
             compatible_with=tuple(sorted(compat[v])),
         )
@@ -455,8 +531,7 @@ def snapshot(fieldstate: Field):
     table = variety_table(fieldstate)
     rank_of = {row.identity: row.order for row in table.rows}
     out = []
-    for i, agent in enumerate(fieldstate.agents):
-        x, y = fieldstate.topology.coords[i]
+    for (x, y), agent in zip(fieldstate.topology.coords, fieldstate.agents):
         h, hhat = identity_metric(agent, fieldstate.q)
         out.append((x, y, h, hhat, rank_of[",".join(map(str, agent))]))
     return out
@@ -488,17 +563,12 @@ def make_field(cfg: CultureConfig, rng: random.Random, initial=None) -> Field:
     if initial is None:
         agents = _initial_agents(cfg, topo, rng)
     else:
-        agents = [list(vec) for vec in initial]
+        agents = list(initial)
         if len(agents) != topo.size:
             raise LengthMismatch(
                 f"initial field has {len(agents)} agents, topology needs {topo.size}"
             )
-        for vec in agents:
-            if len(vec) != cfg.n_features:
-                raise LengthMismatch("initial agent has wrong feature count")
-            if any(not 0 <= t < cfg.traits_per_feature for t in vec):
-                raise InputError("initial trait out of range")
-    return Field(config=cfg, topology=topo, agents=agents)
+    return Field(cfg, topo, agents)
 
 
 def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
@@ -511,13 +581,17 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     """
     rng = random.Random(cfg.seed)
     fieldstate = make_field(cfg, rng, initial)
-    agents, neighbors = fieldstate.agents, fieldstate.topology.neighbors
+    codes = fieldstate.codes
+    hoods = [(nbrs, len(nbrs), len(nbrs).bit_length())
+             for nbrs in fieldstate.topology.neighbors]
     k, epsilon = cfg.k_effective, cfg.epsilon
     # pass threshold by distance; d = 0 and d = n never pass
     thr = [math.inf] + [k * d + epsilon for d in range(1, cfg.n_features)] + [math.inf]
     peer = cfg.behavior == "PeerPossible"
     selections = cfg.selections_per_period or fieldstate.size
     window = cfg.stasis_window
+    rejected = [0] * (cfg.n_features + 1)
+    no_seconder_total = 0
 
     series = []
     trace = deque(maxlen=window)  # variety counts over the last window
@@ -527,8 +601,11 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     status = "limit"
 
     for t in range(1, cfg.max_periods + 1):
-        interactions = _sweep(agents, neighbors, selections, thr, peer, rng)
+        interactions, no_seconder = _sweep(
+            codes, hoods, selections, thr, peer, rng, fieldstate.codec, rejected
+        )
         interactions_total += interactions
+        no_seconder_total += no_seconder
         varieties = len(_variety_counts(fieldstate))
         series.append(
             MetricsSample(
@@ -559,6 +636,8 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
         field=fieldstate,
         interactions_total=interactions_total,
         selections_total=t * selections,
+        rejected=tuple(rejected),
+        no_seconder=no_seconder_total,
     )
 
 

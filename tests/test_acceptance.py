@@ -297,9 +297,10 @@ def test_criterion_8c_variety_entropy_zero_iff_monoculture():
 
 def _absorbing(field):
     """No live boundary: every adjacent pair identical or sharing nothing."""
+    agents = field.agents
     for i, nbrs in enumerate(field.topology.neighbors):
         for j in nbrs:
-            s = similarity(field.agents[i], field.agents[j])
+            s = similarity(agents[i], agents[j])
             if 0 < s < field.n:
                 return False
     return True

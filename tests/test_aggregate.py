@@ -16,8 +16,6 @@ from preflattice.aggregate import (
 from preflattice.core import profile_from_dict
 from preflattice.errors import WeakOrderUnsupported
 
-import worked_example as wx
-
 
 def test_reach_counts_borda4(borda4):
     agg, report = aggregate_reach(borda4)

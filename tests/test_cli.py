@@ -327,6 +327,7 @@ def test_simulate_replicates_and_report(tmp_path, capsys):
         assert r["status"] in ("static", "limit")
         assert r["periods"] >= 1
         assert r["varieties"] >= 1
+        assert r["interactions"] + sum(r["rejections"].values()) == r["selections"]
 
 
 def test_simulate_snapshots(tmp_path, capsys):

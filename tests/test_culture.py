@@ -1,16 +1,18 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preflattice import culture
 from preflattice.culture import (
-    DIRECT_PAIRS,
     CultureConfig,
     Field,
     MetricsSample,
+    TraitCodec,
     _compatible_variety_pairs,
     build_topology,
     classify_epochs,
@@ -29,7 +31,7 @@ from preflattice.culture import (
 )
 from preflattice.errors import InputError, SeriesTooShort
 
-from oracles import interaction_allowed
+from oracles import interaction_allowed, similarity
 
 
 def small_cfg(**overrides):
@@ -263,21 +265,28 @@ def test_eta_bounded_and_counts_consistent(seed):
     assert sum(row.count for row in res.table.rows) == 16
 
 
-# Per-selection reference for the fused sweep in ``run``: the selection,
+# Per-selection reference for the packed sweep in ``run``: the selection,
 # pass test and seconder search written out one selection at a time with
-# ``rng.randrange``, and the period loop around them.
+# ``rng.randrange`` on the reference's own trait lists, and the period loop
+# around them.
 
-def reference_step(fieldstate, rng, peer):
-    """One selection; True when the agent copied a trait."""
-    agents = fieldstate.agents
-    x_idx = rng.randrange(fieldstate.size)
-    nbrs = fieldstate.topology.neighbors[x_idx]
+REASONS = ("identical_pair", "no_shared_trait", "draw_at_or_above_threshold", "no_seconder")
+
+
+def reference_step(agents, neighbors, cfg, rng, peer):
+    """One selection on the trait lists; returns "interaction" when the
+    agent copied a trait, else the reason it did not (one of REASONS)."""
+    x_idx = rng.randrange(len(agents))
+    nbrs = neighbors[x_idx]
     z_idx = nbrs[rng.randrange(len(nbrs))]
     draw = rng.random()
     x, z = agents[x_idx], agents[z_idx]
-    if not interaction_allowed(x, z, fieldstate.config, draw):
-        return False
     n = len(x)
+    if not interaction_allowed(x, z, cfg, draw):
+        shared = similarity(x, z)
+        if shared == n:
+            return "identical_pair"
+        return "no_shared_trait" if shared == 0 else "draw_at_or_above_threshold"
     differing = [i for i in range(n) if x[i] != z[i]]
     f = differing[rng.randrange(len(differing))]
     if peer:
@@ -290,31 +299,49 @@ def reference_step(fieldstate, rng, peer):
             if y[f] != z[f] and any(y[i] == z[i] for i in range(n)):
                 break
         else:
-            return False
+            return "no_seconder"
     x[f] = z[f]
-    return True
+    return "interaction"
 
 
-def reference_run(cfg):
-    """(series, final agents, interactions_total, status) of the run."""
+def reference_run(cfg, initial=None):
+    """(series, final trait lists, Counter of selection outcomes, status)
+    of the run."""
     rng = random.Random(cfg.seed)
-    fieldstate = make_field(cfg, rng)
+    fieldstate = make_field(cfg, rng, initial)
+    topo = fieldstate.topology
+    agents = [list(a) for a in fieldstate.agents]
     peer = cfg.behavior == "PeerPossible"
-    selections = cfg.selections_per_period or fieldstate.size
+    selections = cfg.selections_per_period or len(agents)
     series = []
-    prev = len({tuple(a) for a in fieldstate.agents})
-    streak = total = 0
+    prev = len({tuple(a) for a in agents})
+    streak = 0
+    outcomes = Counter()
     for t in range(1, cfg.max_periods + 1):
-        interactions = sum(reference_step(fieldstate, rng, peer) for _ in range(selections))
-        total += interactions
-        varieties = len({tuple(a) for a in fieldstate.agents})
-        series.append(MetricsSample(t, interactions / selections, variety_entropy(fieldstate),
-                                    compatibility_entropy(fieldstate), varieties))
+        period = Counter(reference_step(agents, topo.neighbors, cfg, rng, peer)
+                         for _ in range(selections))
+        outcomes += period
+        interactions = period["interaction"]
+        varieties = len({tuple(a) for a in agents})
+        now = Field(cfg, topo, agents)
+        series.append(MetricsSample(t, interactions / selections, variety_entropy(now),
+                                    compatibility_entropy(now), varieties))
         streak = streak + 1 if interactions == 0 and varieties == prev else 0
         prev = varieties
         if streak >= cfg.stasis_window:
-            return series, fieldstate.agents, total, "static"
-    return series, fieldstate.agents, total, "limit"
+            return series, agents, outcomes, "static"
+    return series, agents, outcomes, "limit"
+
+
+def assert_run_matches_reference(cfg, initial=None):
+    res = run(cfg, initial)
+    series, agents, outcomes, status = reference_run(cfg, initial)
+    assert res.series == series
+    assert [list(a) for a in res.field.agents] == agents
+    assert res.interactions_total == outcomes["interaction"]
+    assert res.rejections == {reason: outcomes[reason] for reason in REASONS}
+    assert res.status == status and res.periods == len(series)
+    return res
 
 
 TOPOLOGIES = st.one_of(
@@ -345,12 +372,7 @@ def test_run_matches_per_selection_reference(n_features, traits, topology, behav
                         topology=topology, behavior=behavior, k=k, epsilon=epsilon,
                         seed=seed, selections_per_period=selections,
                         max_periods=periods, stasis_window=window)
-    res = run(cfg)
-    series, agents, total, status = reference_run(cfg)
-    assert res.series == series
-    assert res.field.agents == agents
-    assert res.interactions_total == total
-    assert res.status == status and res.periods == len(series)
+    assert_run_matches_reference(cfg)
 
 
 def test_run_matches_reference_on_the_biased_ring():
@@ -358,11 +380,24 @@ def test_run_matches_reference_on_the_biased_ring():
                         topology={"kind": "mobian-circle", "agents": 144, "turn": 12},
                         behavior="PeerPossible", init="dice-mix", init_fraction=0.75,
                         seed=3, max_periods=30, stasis_window=30)
-    res = run(cfg)
-    series, agents, total, _ = reference_run(cfg)
-    assert total > 0
-    assert (res.series, res.field.agents, res.interactions_total) == (series, agents, total)
+    res = assert_run_matches_reference(cfg)
+    assert res.interactions_total > 0
+    assert all(res.rejections.values())
 
+
+@pytest.mark.parametrize("q", [16, 17])
+@pytest.mark.parametrize("behavior", ["Egoistic", "PeerPossible"])
+def test_run_matches_reference_at_the_bit_width_edges(q, behavior):
+    # q = 16 fills four trait bits; q = 17 is the first to need five
+    cfg = CultureConfig(n_features=3, traits_per_feature=q,
+                        topology={"kind": "mobian-circle", "agents": 40, "turn": 5},
+                        behavior=behavior, k=0.1, seed=q, max_periods=40, stasis_window=40)
+    # few distinct traits, so neighbors often share some, the top one included
+    rng = random.Random(q)
+    initial = [[rng.choice((0, 1, q - 2, q - 1)) for _ in range(3)] for _ in range(40)]
+    assert max(map(max, initial)) == q - 1
+    res = assert_run_matches_reference(cfg, initial)
+    assert res.interactions_total > 0
 
 def bucket_pairs(counts):
     """Compatible variety pairs by bucketing on (feature, trait)."""
@@ -401,11 +436,18 @@ def bucket_compatibility_entropy(fieldstate):
     return entropy / math.log(n_agents * (n_agents - 1) / 2)
 
 
-# Up to 150 agents, so both the direct pair test and the numpy mask run.
+# Up to 200 agents, so the numpy mask can run as well as the direct pair test.
 FIELDS = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=150),
+    st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=200),
 ))
+
+
+def found_pairs(varieties, n, q):
+    """Compatible pairs of trait tuples, found by the library on codes."""
+    codec = TraitCodec(n, q)
+    codes = [codec.pack(v) for v in varieties]
+    return [(varieties[a], varieties[b]) for a, b in _compatible_variety_pairs(codes, codec)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -415,25 +457,76 @@ def test_compatible_pairs_and_entropy_match_bucket_method(field_spec):
     counts = {}
     for agent in agents:
         counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
-    varieties = list(counts)
-    found = [(varieties[a], varieties[b]) for a, b in _compatible_variety_pairs(varieties)]
-    assert found == bucket_pairs(counts)
-    cfg = small_cfg(n_features=n, topology={"kind": "mobian-circle", "agents": max(3, len(agents)), "turn": 1})
+    assert found_pairs(list(counts), n, 6) == bucket_pairs(counts)
+    cfg = small_cfg(n_features=n, traits_per_feature=6,
+                    topology={"kind": "mobian-circle", "agents": max(3, len(agents)), "turn": 1})
     fieldstate = Field(cfg, build_topology(cfg.topology), [list(a) for a in agents])
     assert compatibility_entropy(fieldstate) == bucket_compatibility_entropy(fieldstate)
 
 
 @pytest.mark.parametrize("n_agents", [60, 150])
-def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents):
+def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents, monkeypatch):
+    monkeypatch.setattr(culture, "DIRECT_PAIRS", 16)  # so the numpy mask runs
     rng = random.Random(n_agents)
     agents = [[rng.randrange(6) for _ in range(5)] for _ in range(n_agents)]
-    cfg = small_cfg(n_features=5, topology={"kind": "mobian-circle", "agents": n_agents, "turn": 1})
+    cfg = small_cfg(n_features=5, traits_per_feature=6,
+                    topology={"kind": "mobian-circle", "agents": n_agents, "turn": 1})
     fieldstate = Field(cfg, build_topology(cfg.topology), agents)
     counts = {}
     for agent in agents:
         counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
     varieties = list(counts)
-    assert len(varieties) > DIRECT_PAIRS  # so the numpy mask runs
-    found = [(varieties[a], varieties[b]) for a, b in _compatible_variety_pairs(varieties)]
-    assert found == bucket_pairs(counts)
+    assert len(varieties) > culture.DIRECT_PAIRS
+    assert found_pairs(varieties, 5, 6) == bucket_pairs(counts)
     assert compatibility_entropy(fieldstate) == bucket_compatibility_entropy(fieldstate)
+
+
+# Packed codes: one int per trait vector (see TraitCodec).
+
+def trait_pairs(n, q):
+    """Two trait vectors of length n over q traits; the second keeps some
+    of the first's traits, so shared and differing features both occur."""
+    vec = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    keep = st.lists(st.booleans(), min_size=n, max_size=n)
+    return st.tuples(st.just(q), vec, vec, keep).map(
+        lambda t: (t[0], t[1], [a if k else b for a, b, k in zip(t[1], t[2], t[3])]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.integers(1, 300).flatmap(lambda q: trait_pairs(n, q))))
+def test_codec_round_trip_and_mask_tests_match_per_feature_counts(spec):
+    q, x, z = spec
+    codec = TraitCodec(len(x), q)
+    cx, cz = codec.pack(x), codec.pack(z)
+    assert codec.unpack(cx) == tuple(x) and codec.unpack(cz) == tuple(z)
+    assert cx & codec.guards == 0 and cz & codec.guards == 0
+    differ = (cx ^ cz) + codec.ones & codec.guards
+    assert differ.bit_count() == len(x) - similarity(x, z)
+    assert (differ != codec.guards) == (similarity(x, z) > 0)
+    assert (cx == cz) == (x == z)
+
+
+@pytest.mark.parametrize("n, q, bits", [(3, 1, 1), (3, 2, 1), (3, 16, 4), (3, 17, 5),
+                                         (24, 17, 5)])  # the last spans 144 bits
+def test_codec_bit_width_edges(n, q, bits):
+    codec = TraitCodec(n, q)
+    assert (codec.bits, codec.width) == (bits, bits + 1)
+    assert codec.guards.bit_count() == n and codec.ones.bit_count() == n * bits
+    top = [q - 1] * n
+    low = [f % 2 * (q - 1) for f in range(n)]
+    for vec in (top, low):
+        assert codec.unpack(codec.pack(vec)) == tuple(vec)
+        assert codec.pack(vec) & codec.guards == 0
+    differ = (codec.pack(top) ^ codec.pack(low)) + codec.ones & codec.guards
+    assert differ.bit_count() == n - similarity(top, low)
+
+
+def test_field_agents_is_an_unpacked_view():
+    cfg = small_cfg()
+    topo = build_topology(cfg.topology)
+    field = Field(cfg, topo, [[f, 3 - f, 1] for f in range(4)] * 4)
+    assert field.agents == tuple((f, 3 - f, 1) for f in range(4)) * 4
+    assert field.size == 16 and len(set(field.codes)) == 4
+    with pytest.raises(InputError):
+        Field(cfg, topo, [[4, 0, 0]] * 16)  # trait beyond q - 1 would overflow its field
+

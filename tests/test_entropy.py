@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preflattice.core import LabeledMatrix, make_order, profile_from_dict
+from preflattice.core import LabeledMatrix, profile_from_dict
 from preflattice.core import preference_matrix, transition_matrix
 from preflattice.entropy import (
     markov_aggregate,

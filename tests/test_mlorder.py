@@ -64,6 +64,13 @@ def test_read_comparisons_csv_header_after_blank_lines():
         tally(rows)
 
 
+def test_read_comparisons_csv_reports_the_physical_line():
+    # the quoted cell spans lines 2-3, so the short row is on line 4
+    text = 'i,j,outcome\n"a\nb",c,>\nx,y\n'
+    with pytest.raises(InputError, match="^line 4: expected 3 columns, got 2$"):
+        read_comparisons_csv(io.StringIO(text))
+
+
 def test_raw_estimates_exact(worked_tally):
     est = raw_estimates(worked_tally)
     assert est.estimates == wx.WORKED_RAW
