@@ -48,12 +48,6 @@ class CycleInfo:
 
 
 @dataclass
-class CycleReport:
-    cycles: list
-    threshold: Fraction
-
-
-@dataclass
 class CondensedGraph:
     """Partition of the original policy set into super-vertices.
 
@@ -177,10 +171,10 @@ def aggregate_reach(profile: Profile):
     return agg, report
 
 
-def majority_digraph(agg: AggregateReach, threshold=None):
-    """Edge u -> v iff q_uv strictly exceeds the threshold (default: half
-    the voters, so exact ties produce no edge)."""
-    thr = Fraction(agg.n_voters, 2) if threshold is None else Fraction(threshold)
+def majority_digraph(agg: AggregateReach):
+    """Edge u -> v iff q_uv strictly exceeds half the voters, so exact ties
+    produce no edge; returns the digraph and that threshold."""
+    thr = Fraction(agg.n_voters, 2)
     labs = agg.q.labels
     edges = [
         (u, v)
@@ -191,8 +185,9 @@ def majority_digraph(agg: AggregateReach, threshold=None):
     return digraph(labs, edges), thr
 
 
-def classify_cycles(agg: AggregateReach, threshold=None) -> CycleReport:
-    """Strongly-connected components (size >= 2) of the majority digraph.
+def classify_cycles(agg: AggregateReach) -> list:
+    """CycleInfo per strongly-connected component (size >= 2) of the
+    majority digraph.
 
     A cycle spanning every vertex is complete. Otherwise it is dominated
     when some outside vertex is unanimously above all members, dominating
@@ -200,7 +195,7 @@ def classify_cycles(agg: AggregateReach, threshold=None) -> CycleReport:
     when neither witness exists. A cycle that is both dominated and
     dominating is tagged dominated; both witness lists are reported.
     """
-    g, thr = majority_digraph(agg, threshold)
+    g, _ = majority_digraph(agg)
     unan = _unanimity_pairs(agg.q)
     labs = agg.q.labels
     cycles = []
@@ -226,7 +221,7 @@ def classify_cycles(agg: AggregateReach, threshold=None) -> CycleReport:
         cycles.append(
             CycleInfo(members=tuple(comp), kind=kind, dominators=dominators, dominees=dominees)
         )
-    return CycleReport(cycles=cycles, threshold=thr)
+    return cycles
 
 
 def _lift_unanimous(agg, block_a, block_b):
@@ -241,7 +236,7 @@ def _lift_majority(agg, thr, block_a, block_b):
     return all(agg.q.entry(a, b) > thr for a in block_a for b in block_b)
 
 
-def condense(agg: AggregateReach, threshold=None) -> CondensedGraph:
+def condense(agg: AggregateReach) -> CondensedGraph:
     """Merge condensable structures into super-vertices until fixpoint.
 
     Each round first merges dominated and dominating majority cycles
@@ -250,9 +245,10 @@ def condense(agg: AggregateReach, threshold=None) -> CondensedGraph:
     in later unanimity merges, and complex unanimity components are never
     merged; both situations are reported in ``overlaps`` when they block
     a merge. All lifts are universal: a block-level relation holds only
-    when every cross pair of original vertices has it.
+    when every cross pair of original vertices has it. Majority means more
+    than half the voters, as in majority_digraph.
     """
-    thr = Fraction(agg.n_voters, 2) if threshold is None else Fraction(threshold)
+    thr = Fraction(agg.n_voters, 2)
     labs = agg.q.labels
     partition = [frozenset((u,)) for u in labs]
     rules = {frozenset((u,)): "singleton" for u in labs}

@@ -169,7 +169,7 @@ def cmd_aggregate(args) -> int:
                 "dominators": list(c.dominators),
                 "dominees": list(c.dominees),
             }
-            for c in cycles.cycles
+            for c in cycles
         ],
         "condensed": {
             "blocks": [
@@ -209,8 +209,7 @@ def cmd_mlorder(args) -> int:
         if not isinstance(data, list) or not all(map(is_tie_groups, data)):
             raise InputError("candidates JSON must be a list of orders, each a list of tie-groups")
         candidates = [make_order(t.labels(), groups) for groups in data]
-    mode = "weak-orders" if args.mode == "all-weak" else args.mode
-    ranked = max_likelihood_order(t, candidates, mode=mode)
+    ranked = max_likelihood_order(t, candidates, mode=args.mode)
     floats = {}  # id(triple) -> (triple, its floats); candidates share triples
 
     def shares(triple):
@@ -294,7 +293,7 @@ def cmd_simulate(args) -> int:
                     "periods": res.periods,
                     "interactions": res.interactions_total,
                     "selections": res.selections_total,
-                    "varieties": len(res.table.rows),
+                    "varieties": res.series[-1].varieties,
                     "rejections": res.rejections,
                 }
                 for res in results

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import combinations
 
 from .errors import InputError, LengthMismatch, SeriesTooShort
@@ -208,17 +208,15 @@ class CultureConfig:
 
 
 def config_from_dict(data) -> CultureConfig:
-    known = {
-        "n_features", "traits_per_feature", "topology", "behavior", "k",
-        "epsilon", "seed", "stasis_window", "max_periods",
-        "selections_per_period", "init", "init_fraction",
-    }
+    """A CultureConfig from a JSON object whose keys are its field names;
+    the fields without a default are required."""
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
-    extra = set(data) - known
+    known = fields(CultureConfig)
+    extra = set(data) - {f.name for f in known}
     if extra:
         raise InputError(f"unknown config keys: {', '.join(sorted(extra))}")
-    missing = {"n_features", "traits_per_feature", "topology"} - set(data)
+    missing = {f.name for f in known if f.default is MISSING} - set(data)
     if missing:
         raise InputError(f"config missing keys: {', '.join(sorted(missing))}")
     return CultureConfig(**data)
@@ -309,15 +307,9 @@ class VarietyRow:
     compatible_with: tuple  # orders of compatible varieties
 
 
-@dataclass(frozen=True)
-class VarietyTable:
-    rows: tuple
-
-
 @dataclass
 class RunResult:
     series: list
-    table: VarietyTable
     periods: int
     status: str  # "static" | "limit"
     variety_trace: tuple  # variety counts over the final window
@@ -499,9 +491,9 @@ def compatibility_entropy(fieldstate: Field) -> float:
     return entropy / math.log(n_agents * (n_agents - 1) / 2)
 
 
-def variety_table(fieldstate: Field) -> VarietyTable:
-    """Varieties by descending population (ties by identity string), each
-    with the ranks of the varieties it could interact with."""
+def variety_table(fieldstate: Field) -> tuple:
+    """VarietyRow per variety, by descending population (ties by identity
+    string), each with the ranks of the varieties it could interact with."""
     counts = _variety_counts(fieldstate)
     varieties = list(counts)
     unpack = fieldstate.codec.unpack
@@ -513,7 +505,7 @@ def variety_table(fieldstate: Field) -> VarietyTable:
         u, v = varieties[a], varieties[b]
         compat[u].add(rank_of[v])
         compat[v].add(rank_of[u])
-    rows = tuple(
+    return tuple(
         VarietyRow(
             order=i + 1,
             identity=identity[v],
@@ -522,14 +514,12 @@ def variety_table(fieldstate: Field) -> VarietyTable:
         )
         for i, (v, c) in enumerate(ordered)
     )
-    return VarietyTable(rows)
 
 
 def snapshot(fieldstate: Field):
     """Per agent: coordinates, identity encoding, log identity, and the
     rank of its variety in the current variety table."""
-    table = variety_table(fieldstate)
-    rank_of = {row.identity: row.order for row in table.rows}
+    rank_of = {row.identity: row.order for row in variety_table(fieldstate)}
     out = []
     for (x, y), agent in zip(fieldstate.topology.coords, fieldstate.agents):
         h, hhat = identity_metric(agent, fieldstate.q)
@@ -629,7 +619,6 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
             break
     return RunResult(
         series=series,
-        table=variety_table(fieldstate),
         periods=t,
         status=status,
         variety_trace=tuple(trace),
@@ -641,14 +630,14 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     )
 
 
-def run_replicates(cfg: CultureConfig, replicates: int, initial=None, observer=None):
+def run_replicates(cfg: CultureConfig, replicates: int, observer=None):
     """Serial replicate runs seeded cfg.seed, cfg.seed+1, ...; the observer
     sees every replicate's periods and can tell them apart by
     ``fieldstate.config.seed``."""
     if replicates < 1:
         raise InputError("need at least one replicate")
     return [
-        run(replace(cfg, seed=cfg.seed + r), initial=initial, observer=observer)
+        run(replace(cfg, seed=cfg.seed + r), observer=observer)
         for r in range(replicates)
     ]
 
@@ -656,17 +645,20 @@ def run_replicates(cfg: CultureConfig, replicates: int, initial=None, observer=N
 EPOCHS = ("anarchy", "collectivism", "oligarchy", "authoritarianism")
 
 
-def _smooth(values, window=3):
-    half = window // 2
+def _smooth(values):
+    """Mean over each value and its neighbors, two at the ends."""
     out = []
     for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
+        lo = max(0, i - 1)
+        hi = min(len(values), i + 2)
         out.append(sum(values[lo:hi]) / (hi - lo))
     return out
 
 
-def classify_epochs(series, slope_tol: float = 1e-9, activity_tol: float = 0.0):
+SLOPE_TOL = 1e-9  # smallest per-period entropy change read as a trend
+
+
+def classify_epochs(series):
     """Advisory epoch labels over a metrics series.
 
     Zero activity reads as authoritarianism; rising compatibility entropy
@@ -683,11 +675,11 @@ def classify_epochs(series, slope_tol: float = 1e-9, activity_tol: float = 0.0):
         j = max(1, i)
         dv = s_v[j] - s_v[j - 1]
         dc = s_c[j] - s_c[j - 1]
-        if m.eta <= activity_tol:
+        if m.eta == 0.0:
             labels.append("authoritarianism")
-        elif dc > slope_tol:
+        elif dc > SLOPE_TOL:
             labels.append("collectivism")
-        elif dv < -slope_tol:
+        elif dv < -SLOPE_TOL:
             labels.append("oligarchy")
         else:
             labels.append("anarchy")

@@ -52,11 +52,7 @@ class StationaryResult:
     method: str
 
 
-def _rows_of(m):
-    return m.rows if hasattr(m, "rows") else tuple(tuple(r) for r in m)
-
-
-def _perron_root(block, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
+def _perron_root(block) -> float:
     """Perron root of an irreducible nonnegative block, given as rows.
 
     Power iteration on A + I from the uniform vector: the shift makes the
@@ -72,10 +68,10 @@ def _perron_root(block, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
     b = a + np.eye(len(a))
     x = np.ones(len(a)) / len(a)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = b @ x
         lam = float(y.sum())
-        if prev is not None and abs(lam - prev) <= tol * max(1.0, abs(lam)):
+        if prev is not None and abs(lam - prev) <= POWER_TOL * max(1.0, abs(lam)):
             ratios = y / x
             if ratios.max() - ratios.min() <= BRACKET_TOL * lam:
                 return lam - 1.0
@@ -88,7 +84,7 @@ def _perron_root(block, tol=POWER_TOL, max_iter=POWER_MAX_ITER) -> float:
     )
 
 
-def spectral_radius(m) -> float:
+def spectral_radius(m: LabeledMatrix) -> float:
     """Largest eigenvalue magnitude of a nonnegative square matrix.
 
     The spectrum is the union of the spectra of the irreducible diagonal
@@ -97,7 +93,7 @@ def spectral_radius(m) -> float:
     Perron root, found by power iteration (tolerance 1e-12, at most 1e5
     steps).
     """
-    rows = _rows_of(m)
+    rows = m.rows
     n = len(rows)
     support = digraph(range(n), [(i, j) for i in range(n) for j in range(n)
                                  if i != j and rows[i][j] != 0])
@@ -109,14 +105,14 @@ def spectral_radius(m) -> float:
     return max(roots, default=0.0)
 
 
-def matrix_entropy(m: LabeledMatrix, base=None) -> EntropyValue:
-    """log_base of the spectral radius; base defaults to the dimension.
+def matrix_entropy(m: LabeledMatrix) -> EntropyValue:
+    """Logarithm of the spectral radius to the base of the dimension.
 
     Radii at or below 1 report entropy 0 (a single fixed point carries no
-    mixing), as does a one-element base.
+    mixing), as does a one-element matrix.
     """
     lam = spectral_radius(m)
-    b = len(m.labels) if base is None else base
+    b = len(m.labels)
     if b <= 1 or lam <= 1.0:
         return EntropyValue(0.0, b, radius=lam)
     return EntropyValue(math.log(lam) / math.log(b), b, radius=lam)
@@ -151,8 +147,7 @@ def topological_entropy(profile: Profile) -> EntropyValue:
     S = log_base(spectral radius), base = number of policies. A profile
     over a single policy reports 0 by convention.
     """
-    f = mean_preference_matrix(profile)
-    return matrix_entropy(f, base=len(profile.policies))
+    return matrix_entropy(mean_preference_matrix(profile))
 
 
 def markov_aggregate(profile: Profile, mode: str = "climb-one-rung") -> LabeledMatrix:
@@ -246,7 +241,7 @@ def stationary_distribution(m: LabeledMatrix) -> StationaryResult:
     rationals up to dimension 12, by least squares on the same projector
     equations above that.
     """
-    rows = _rows_of(m)
+    rows = m.rows
     n = len(rows)
     frac_rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
     for row in frac_rows:
@@ -297,11 +292,11 @@ def shannon_entropy(p, base) -> EntropyValue:
     return EntropyValue(max(h, 0.0), base)
 
 
-def markov_order(sr: StationaryResult, tie_tol: float = 1e-9) -> Order:
+def markov_order(sr: StationaryResult) -> Order:
     """Policies grouped by descending stationary probability.
 
     Exact results group on exact equality; float results group
-    probabilities within tie_tol of the previous entry.
+    probabilities within STATIONARY_TOL of the previous entry.
     """
     pairs = sorted(
         zip(sr.labels, sr.distribution), key=lambda t: (-float(t[1]), t[0])
@@ -310,7 +305,7 @@ def markov_order(sr: StationaryResult, tie_tol: float = 1e-9) -> Order:
     last = None
     for label, prob in pairs:
         if groups and (
-            prob == last if sr.exact else abs(float(prob) - float(last)) <= tie_tol
+            prob == last if sr.exact else abs(float(prob) - float(last)) <= STATIONARY_TOL
         ):
             groups[-1].append(label)
         else:

@@ -251,39 +251,27 @@ def max_likelihood_order(t: ComparisonTally, candidates=None, mode: str = "subbi
     Without explicit candidates the label count is capped (default 6) and
     candidates come from the maximal circuit-free sub-bigraphs of the raw
     estimates' induced bigraph, or from full weak-order enumeration with
-    mode="weak-orders". A candidate may also be a (order, EstimatePoint)
-    pair to evaluate externally supplied restricted estimates verbatim.
-    Near-ties are broken by the printed order, so labels must keep it
-    unambiguous (see check_labels).
+    mode="all-weak". Every candidate is scored through one restriction
+    table of the raw estimates. Near-ties are broken by the printed order,
+    so labels must keep it unambiguous (see check_labels).
     """
     labels = t.labels()
     check_labels(labels)
-    raw = None
+    raw = raw_estimates(t)
     if candidates is None:
         cap = vertex_cap(CANDIDATE_CAP)
         if len(labels) > cap:
             raise CapExceeded(
                 f"candidate generation over {len(labels)} labels exceeds the cap of {cap}"
             )
-        raw = raw_estimates(t)
         if mode == "subbigraph":
             big = induced_bigraph(raw)
             candidates = [order for _, order in maximal_circuit_free_subbigraphs(big)]
-        elif mode == "weak-orders":
-            candidates = list(enumerate_weak_orders(labels))
+        elif mode == "all-weak":
+            candidates = enumerate_weak_orders(labels)
         else:
             raise InputError(f"unknown candidate mode {mode!r}")
-    table = None
-    ranked = []
-    for cand in candidates:
-        if isinstance(cand, tuple):
-            order, est = cand
-            ranked.append((order, uncertainty(est, t)))
-            continue
-        if table is None:
-            if raw is None:
-                raw = raw_estimates(t)
-            table = _RestrictionTable(raw, t)
-        ranked.append((cand, table.score(cand)))
+    table = _RestrictionTable(raw, t)
+    ranked = [(order, table.score(order)) for order in candidates]
     ranked.sort(key=lambda item: (item[1].weighted, str(item[0])))
     return ranked

@@ -10,7 +10,6 @@ grant logs.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -300,27 +299,18 @@ def elect_managers(assignment: GroupAssignment, ledger: ThreadLedger, fraction=0
     return managers
 
 
-def _interest_names(interests):
-    if isinstance(interests, int):
-        if not 2 <= interests <= 26:
-            raise InputError("interest count must lie in [2, 26]")
-        return list(string.ascii_lowercase[:interests])
-    names = check_interest_names(set(interests))
-    if len(names) < 2:
-        raise InputError("need at least two interests")
-    return names
-
-
 def group_topology(interests, mode: str = "subset-lattice") -> Digraph:
-    """Adjacency of the 2^n - 1 interest-subset groups, as a symmetric
-    digraph.
+    """Adjacency of the 2^n - 1 groups over n >= 2 interest names, as a
+    symmetric digraph.
 
     subset-lattice joins any two groups where one interest set strictly
     contains the other (for three interests: single-interest groups have
     three neighbors, the center six). binary-tree keeps only covers, sets
     differing by exactly one interest (two, three and three neighbors).
     """
-    names = _interest_names(interests)
+    names = check_interest_names(set(interests))
+    if len(names) < 2:
+        raise InputError("need at least two interests")
     subsets = [
         frozenset(c)
         for k in range(1, len(names) + 1)
@@ -378,33 +368,22 @@ def _topology_neighbors(topology: Digraph, label):
     return out
 
 
-def _allowed_for_groups(member_groups, target_group, topology: Digraph):
-    """Core referral rule over an iterable of the poster's groups; used
-    directly by the monotonicity property test."""
-    member_groups = set(member_groups)
-    if target_group == ENTRY:
-        return True, "entry-group posting"
-    if target_group not in set(topology.vertices):
-        raise UnknownGroup(f"unknown group {target_group!r}")
-    if target_group in member_groups:
-        return True, "member of target group"
-    adjacent = _topology_neighbors(topology, target_group)
-    if member_groups & adjacent:
-        return True, "member of an adjacent group"
-    return False, "not a member of the target group or any adjacent group"
-
-
 def referral_check(poster, target_group, topology: Digraph, assignment: GroupAssignment):
     """(allow, reason) for a poster trying to post into a group: allowed
     into the entry group, their own group, or any topology neighbor of a
     group they belong to."""
     if poster not in assignment.primary:
         raise UnknownLabel(f"unknown subscriber {poster!r}")
-    primary = assignment.primary[poster]
-    member_groups = {ENTRY}
-    if primary != ENTRY:
-        member_groups.add(primary)
-    return _allowed_for_groups(member_groups, target_group, topology)
+    if target_group == ENTRY:
+        return True, "entry-group posting"
+    if target_group not in set(topology.vertices):
+        raise UnknownGroup(f"unknown group {target_group!r}")
+    member_groups = {ENTRY, assignment.primary[poster]}
+    if target_group in member_groups:
+        return True, "member of target group"
+    if member_groups & _topology_neighbors(topology, target_group):
+        return True, "member of an adjacent group"
+    return False, "not a member of the target group or any adjacent group"
 
 
 @dataclass(frozen=True)

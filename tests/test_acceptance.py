@@ -34,6 +34,7 @@ from preflattice.culture import (
     build_topology,
     run,
     variety_entropy,
+    variety_table,
 )
 from preflattice.entropy import (
     markov_aggregate,
@@ -108,9 +109,9 @@ def test_criterion_3_voting_paradox(paradox):
     agg, report = aggregate_reach(paradox)
     assert set(report.unanimities) == set()
     cycles = classify_cycles(agg)
-    assert len(cycles.cycles) == 1
-    assert cycles.cycles[0].kind == "complete"
-    assert set(cycles.cycles[0].members) == {"x", "y", "z"}
+    assert len(cycles) == 1
+    assert cycles[0].kind == "complete"
+    assert set(cycles[0].members) == {"x", "y", "z"}
 
 
 def test_criterion_4_topological_entropy(paradox):
@@ -292,7 +293,7 @@ def test_criterion_8c_variety_entropy_zero_iff_monoculture():
         stasis_window=50,
         max_periods=400,
     ))
-    assert (res.series[-1].s_v == 0.0) == (len(res.table.rows) == 1)
+    assert (res.series[-1].s_v == 0.0) == (len(variety_table(res.field)) == 1)
 
 
 def _absorbing(field):
@@ -404,7 +405,7 @@ def test_criterion_8f_biased_start_collapses_to_few_varieties():
             init_fraction=0.75,
         )
         res = run(cfg)
-        few += len(res.table.rows) <= 4
+        few += len(variety_table(res.field)) <= 4
     elapsed = time.perf_counter() - t0
     assert few >= 14
     assert elapsed < 600.0

@@ -74,8 +74,8 @@ def test_paradox_cycle_classification(paradox):
     agg, report = aggregate_reach(paradox)
     assert report.unanimities == frozenset()
     cycles = classify_cycles(agg)
-    assert len(cycles.cycles) == 1
-    info = cycles.cycles[0]
+    assert len(cycles) == 1
+    info = cycles[0]
     assert info.kind == "complete"
     assert sorted(info.members) == ["x", "y", "z"]
 
@@ -93,9 +93,9 @@ def test_dominated_cycle():
         }
     )
     agg, _ = aggregate_reach(p)
-    report = classify_cycles(agg)
-    assert len(report.cycles) == 1
-    info = report.cycles[0]
+    cycles = classify_cycles(agg)
+    assert len(cycles) == 1
+    info = cycles[0]
     assert info.kind == "dominated"
     assert info.dominators == ("d",)
     assert sorted(info.members) == ["a", "b", "c"]

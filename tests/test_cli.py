@@ -319,8 +319,10 @@ def test_simulate_replicates_and_report(tmp_path, capsys):
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == "seed,t,eta,s_v,s_c,varieties"
-    seeds = {line.split(",")[0] for line in lines[1:]}
-    assert seeds == {"7", "8"}
+    last_row = {}  # seed -> its last CSV row
+    for line in lines[1:]:
+        last_row[line.split(",")[0]] = line.split(",")
+    assert set(last_row) == {"7", "8"}
     summary = json.loads(report.read_text(encoding="utf-8"))
     assert [r["seed"] for r in summary["runs"]] == [7, 8]
     for r in summary["runs"]:
@@ -328,6 +330,9 @@ def test_simulate_replicates_and_report(tmp_path, capsys):
         assert r["periods"] >= 1
         assert r["varieties"] >= 1
         assert r["interactions"] + sum(r["rejections"].values()) == r["selections"]
+        # the report's final figures are those of the seed's last CSV row
+        row = last_row[str(r["seed"])]
+        assert (r["periods"], r["varieties"]) == (int(row[1]), int(row[-1]))
 
 
 def test_simulate_snapshots(tmp_path, capsys):

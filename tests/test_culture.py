@@ -105,12 +105,12 @@ def test_config_validation():
         small_cfg(init="dice-mix")  # q < 11
     with pytest.raises(InputError):
         small_cfg(epsilon=2.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^config missing keys: topology, traits_per_feature$"):
         config_from_dict({"n_features": 3})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^unknown config keys: mystery, zeta$"):
         config_from_dict({"n_features": 3, "traits_per_feature": 4,
                           "topology": {"kind": "square", "rows": 2, "cols": 2},
-                          "mystery": 1})
+                          "zeta": 0, "mystery": 1})
 
 
 def test_run_is_deterministic():
@@ -137,7 +137,7 @@ def test_single_trait_world_is_inert():
     assert res.status == "static"
     assert res.periods == 7  # the stasis window itself
     assert all(m.eta == 0.0 for m in res.series)
-    assert len(res.table.rows) == 1
+    assert len(variety_table(res.field)) == 1
 
 
 def test_variety_entropy_zero_iff_single_variety():
@@ -157,8 +157,8 @@ def test_variety_table_compatibility():
     agents = [[0, 0, 0]] * 8 + [[0, 1, 1]] * 4 + [[2, 2, 2]] * 4
     field = Field(cfg, topo, [list(a) for a in agents])
     table = variety_table(field)
-    assert len(table.rows) == 3
-    by_id = {row.identity: row for row in table.rows}
+    assert len(table) == 3
+    by_id = {row.identity: row for row in table}
     assert by_id["0,0,0"].count == 8
     assert by_id["0,0,0"].order == 1  # largest population ranks first
     # (0,0,0) and (0,1,1) share the first trait; (2,2,2) shares nothing
@@ -262,7 +262,7 @@ def test_eta_bounded_and_counts_consistent(seed):
         assert 0.0 <= m.s_v <= 1.0
         assert m.varieties >= 1
     assert res.selections_total == res.periods * 16
-    assert sum(row.count for row in res.table.rows) == 16
+    assert sum(row.count for row in variety_table(res.field)) == 16
 
 
 # Per-selection reference for the packed sweep in ``run``: the selection,

@@ -1,12 +1,15 @@
 """Every top-level function and class in the library has a library caller
-or is exported, and every layer function the benchmark traces exists.
+or is exported, every defaulted parameter is set by some call, and every
+layer function the benchmark traces exists.
 
 A helper only tests call belongs in the tests (``oracles.py`` holds the
-reference implementations); one nobody calls belongs nowhere.
+reference implementations); one nobody calls belongs nowhere. A default
+no call overrides is a constant: it goes into the body.
 """
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +61,65 @@ def test_every_traced_layer_function_resolves():
         if not callable(getattr(importlib.import_module(f"preflattice.{layer}"), name, None))
     ]
     assert not missing, f"traced but not defined: {', '.join(missing)}"
+
+
+
+def _defaulted_params():
+    """(call name, label, parameter, positional index or None) for every
+    defaulted parameter of a library function. A method is called by its
+    own name and a class by its name, which calls ``__init__``; a method's
+    positional index does not count ``self``. Keyword-only parameters
+    have no index."""
+    params = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(sub): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for sub in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(id(node))
+            name = cls if node.name == "__init__" else node.name
+            label = f"{cls}.{node.name}" if cls else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                params.append((name, label, positional[i].arg, i - bool(cls)))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    params.append((name, label, arg.arg, None))
+    return params
+
+
+def _calls():
+    """(callee name, positional count, keyword names) of every call in the
+    library, the tests and the benchmark. A call that unpacks ``*args`` or
+    ``**kwargs`` reads as one that sets every parameter."""
+    calls = []
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                keywords = {k.arg for k in node.keywords}
+                if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                    calls.append((name, math.inf, None))
+                else:
+                    calls.append((name, len(node.args), keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = _calls()
+    unset = [
+        f"{label}.{param}"
+        for name, label, param, index in _defaulted_params()
+        if not any(
+            callee == name and (keywords is None or param in keywords
+                                or index is not None and count > index)
+            for callee, count, keywords in calls
+        )
+    ]
+    assert not unset, f"no call sets: {', '.join(unset)}"

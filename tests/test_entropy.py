@@ -253,4 +253,5 @@ def test_spectral_radius_does_not_stop_on_a_repeated_growth():
     block = [[1, 1, 0.75, 0.5], [0.75, 1, 0.75, 0.5],
              [0.75, 1, 1, 0.5], [0.75, 0.75, 0.5, 1]]
     expected = max(abs(np.linalg.eigvals(np.array(block))))
-    assert spectral_radius(block) == pytest.approx(expected, rel=1e-9)
+    m = LabeledMatrix(tuple("abcd"), tuple(map(tuple, block)))
+    assert spectral_radius(m) == pytest.approx(expected, rel=1e-9)

@@ -135,19 +135,11 @@ def test_uncertainty_requires_matching_pairs(worked_tally):
         uncertainty(est, worked_tally)
 
 
-def test_explicit_candidates_evaluated_verbatim(worked_tally):
-    order = make_order(["1", "2", "3", "4"], [["1", "4"], ["2", "3"]])
-    supplied = wx.estimate_point(wx.printed_row_estimates("pi1"))
-    ranked = max_likelihood_order(worked_tally, candidates=[(order, supplied)])
-    assert len(ranked) == 1
-    assert ranked[0][1].estimates is supplied
-
-
 def test_weak_orders_mode_small():
     t = tally([("a", "b", ">")] * 3 + [("a", "b", "<")] * 1 +
               [("b", "c", ">")] * 2 + [("b", "c", "=")] * 2 +
               [("a", "c", ">")] * 4)
-    ranked = max_likelihood_order(t, mode="weak-orders")
+    ranked = max_likelihood_order(t, mode="all-weak")
     assert len(ranked) == 13
     best_order, best = ranked[0]
     assert all(best.weighted <= rep.weighted for _, rep in ranked)
@@ -261,7 +253,7 @@ def tie_prone_tally(draw):
 @settings(max_examples=40, deadline=None)
 @given(tie_prone_tally())
 def test_weak_orders_mode_matches_per_candidate_reference(t):
-    got = max_likelihood_order(t, mode="weak-orders")
+    got = max_likelihood_order(t, mode="all-weak")
     assert_same_ranking(got, reference_ranking(t, list(enumerate_weak_orders(t.labels()))))
 
 
@@ -280,16 +272,11 @@ def test_explicit_candidates_match_per_candidate_reference(t, data):
     picked = data.draw(st.lists(st.sampled_from(orders), max_size=8))
     got = max_likelihood_order(t, candidates=picked)
     assert_same_ranking(got, reference_ranking(t, picked))
-    # an (order, EstimatePoint) candidate next to them is still taken verbatim
-    if picked:
-        supplied = restrict_estimates(raw_estimates(t), picked[0])
-        mixed = max_likelihood_order(t, candidates=picked + [(picked[0], supplied)])
-        assert sum(rep.estimates is supplied for _, rep in mixed) == 1
 
 
 def test_zero_trial_pair_raises_mismatched_pairs():
     t = ComparisonTally({("a", "b"): (2, 1, 0), ("a", "c"): (0, 0, 0), ("b", "c"): (1, 1, 1)})
-    for mode in ("weak-orders", "subbigraph"):
+    for mode in ("all-weak", "subbigraph"):
         with pytest.raises(MismatchedPairs):
             max_likelihood_order(t, mode=mode)
     order = make_order(["a", "b", "c"], [["a"], ["b", "c"]])

@@ -325,11 +325,11 @@ def test_elect_managers_ranking():
 
 
 def test_group_topology_lattice_and_tree():
-    lattice = group_topology(3, mode="subset-lattice")
+    lattice = group_topology(["a", "b", "c"], mode="subset-lattice")
     assert len(lattice.vertices) == 7
     # every containment, not just covers: 2*(6 + 3 + 3) directions
     assert len(lattice.edges) == 24
-    tree = group_topology(3, mode="binary-tree")
+    tree = group_topology(["c", "b", "a"], mode="binary-tree")
     degree = {v: 0 for v in tree.vertices}
     for u, _ in tree.edges:
         degree[u] += 1
@@ -337,9 +337,9 @@ def test_group_topology_lattice_and_tree():
     assert degree["a+b"] == 3
     assert degree["a+b+c"] == 3
     with pytest.raises(InputError):
-        group_topology(3, mode="pyramid")
-    with pytest.raises(InputError):
-        group_topology(1)
+        group_topology(["a", "b", "c"], mode="pyramid")
+    with pytest.raises(InputError, match="need at least two interests"):
+        group_topology(["a"])
 
 
 def test_group_order_from_cross_activity():
@@ -355,7 +355,7 @@ def test_group_order_from_cross_activity():
 
 
 def test_referral_check_rules():
-    topology = group_topology(2, mode="subset-lattice")
+    topology = group_topology(["a", "b"], mode="subset-lattice")
     ledger = validate_protocol(base_events())
     prefs = extract_prefs(ledger, {"m1": "a", "m2": "b", "m3": "b"})
     assignment = partition_subscribers(prefs)
