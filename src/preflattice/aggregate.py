@@ -173,7 +173,7 @@ def aggregate_reach(profile: Profile):
 
 def majority_digraph(agg: AggregateReach):
     """Edge u -> v iff q_uv strictly exceeds half the voters, so exact ties
-    produce no edge; returns the digraph and that threshold."""
+    produce no edge."""
     thr = Fraction(agg.n_voters, 2)
     labs = agg.q.labels
     edges = [
@@ -182,7 +182,7 @@ def majority_digraph(agg: AggregateReach):
         for v in labs
         if u != v and agg.q.entry(u, v) > thr
     ]
-    return digraph(labs, edges), thr
+    return digraph(labs, edges)
 
 
 def classify_cycles(agg: AggregateReach) -> list:
@@ -195,7 +195,7 @@ def classify_cycles(agg: AggregateReach) -> list:
     when neither witness exists. A cycle that is both dominated and
     dominating is tagged dominated; both witness lists are reported.
     """
-    g, _ = majority_digraph(agg)
+    g = majority_digraph(agg)
     unan = _unanimity_pairs(agg.q)
     labs = agg.q.labels
     cycles = []

@@ -60,6 +60,7 @@ TG_SCHEMA = (
     'graph JSON: {"vertices": [{"id": ..., "kind": "subject"|"object"}], '
     '"edges": [{"from": ..., "to": ..., "label": "take"|"grant"|"read"|"write"}]}'
 )
+EXACT_SHARES_MAX = 12  # more policies print their stationary shares as floats
 
 
 def _load_json(path):
@@ -140,8 +141,9 @@ def cmd_entropy(args) -> int:
     chain = markov_aggregate(profile)
     sr = stationary_distribution(chain)
     h = shannon_entropy(sr.distribution, base=len(sr.labels))
+    share = _num if len(sr.labels) <= EXACT_SHARES_MAX else float
     return _emit({
-        "stationary": {p: _num(x) for p, x in zip(sr.labels, sr.distribution)},
+        "stationary": {p: share(x) for p, x in zip(sr.labels, sr.distribution)},
         "entropy": h.value,
         "order": str(markov_order(sr)),
     })

@@ -20,7 +20,6 @@ from .errors import InputError, LengthMismatch, SeriesTooShort
 
 BEHAVIORS = ("Egoistic", "PeerPossible")
 INIT_MODES = ("uniform", "dice-mix")
-DIRECT_PAIRS = 144  # most varieties whose compatible pairs are found without numpy
 
 
 @dataclass(frozen=True)
@@ -445,27 +444,14 @@ def variety_entropy(fieldstate: Field) -> float:
 def _compatible_variety_pairs(varieties, codec: TraitCodec):
     """Index pairs (a, b), a < b in row-major order, of distinct variety
     codes sharing at least one trait; distinct varieties always differ
-    somewhere, so sharing is the whole compatibility test.
-
-    Up to DIRECT_PAIRS varieties are tested pair by pair on the codes, a
-    pair sharing a trait when not every guard of their difference is set,
-    where numpy's import and per-call cost would dominate. More get a V x V
-    shared-trait mask built one feature at a time, so memory stays V^2
-    rather than V^2 * n.
+    somewhere, so sharing is the whole compatibility test. Each pair is
+    tested on the codes: it shares a trait when not every guard of their
+    difference is set.
     """
     v = len(varieties)
-    if v <= DIRECT_PAIRS:
-        ones, guards = codec.ones, codec.guards
-        return [(a, b) for a, u in enumerate(varieties) for b in range(a + 1, v)
-                if (u ^ varieties[b]) + ones & guards != guards]
-    import numpy as np
-
-    traits = np.array([codec.unpack(code) for code in varieties])
-    shared = np.zeros((v, v), dtype=bool)
-    for column in traits.T:
-        shared |= column[:, None] == column[None, :]
-    rows, cols = np.nonzero(np.triu(shared, 1))
-    return list(zip(rows.tolist(), cols.tolist()))
+    ones, guards = codec.ones, codec.guards
+    return [(a, b) for a, u in enumerate(varieties) for b in range(a + 1, v)
+            if (u ^ varieties[b]) + ones & guards != guards]
 
 
 def compatibility_entropy(fieldstate: Field) -> float:

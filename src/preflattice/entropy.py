@@ -8,19 +8,20 @@ that distribution, and the ranking it induces.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import LabeledMatrix, Order, Profile, preference_matrix, transition_matrix
-from .errors import NonConvergence, NotADistribution
+from .errors import CapExceeded, NonConvergence, NotADistribution
 from .graphalg import digraph, strongly_connected_components
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
 BRACKET_TOL = 1e-6  # relative width of the Perron-root bracket at a stop
-EXACT_DIM_LIMIT = 12
 STATIONARY_TOL = 1e-9
+STATIONARY_MAX_DIM = 100  # the exact solve takes seconds above this
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,10 @@ class EntropyValue:
 
 @dataclass(frozen=True)
 class StationaryResult:
-    """Stationary distribution of a row-stochastic matrix.
-
-    ``exact`` marks the rational-arithmetic path (entries are Fractions,
-    residual is exactly zero); otherwise entries are floats and ``residual``
-    is the largest violation of y = yF after the solve.
-    """
+    """Stationary distribution of a row-stochastic matrix, as Fractions."""
 
     labels: tuple[str, ...]
     distribution: tuple
-    residual: float
-    exact: bool
-    method: str
 
 
 def _perron_root(block) -> float:
@@ -60,22 +53,21 @@ def _perron_root(block) -> float:
     geometrically, and it moves the root by exactly 1. The growth can
     repeat by coincidence while the vector is still far off, so a stop
     also needs the Collatz-Wielandt bracket min/max (Bx)_i / x_i, which
-    holds the root, to be narrow.
+    holds the root, to be narrow. Each row product is summed exactly
+    rounded (math.fsum).
     """
-    import numpy as np
-
-    a = np.array(block, dtype=float)
-    b = a + np.eye(len(a))
-    x = np.ones(len(a)) / len(a)
+    n = len(block)
+    b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(block)]
+    x = [1.0 / n] * n
     prev = None
     for _ in range(POWER_MAX_ITER):
-        y = b @ x
-        lam = float(y.sum())
+        y = [math.fsum(map(operator.mul, row, x)) for row in b]
+        lam = math.fsum(y)
         if prev is not None and abs(lam - prev) <= POWER_TOL * max(1.0, abs(lam)):
-            ratios = y / x
-            if ratios.max() - ratios.min() <= BRACKET_TOL * lam:
+            ratios = [yi / xi for yi, xi in zip(y, x)]
+            if max(ratios) - min(ratios) <= BRACKET_TOL * lam:
                 return lam - 1.0
-        x = y / lam
+        x = [yi / lam for yi in y]
         prev = lam
     raise NonConvergence(
         "spectral radius estimate did not stabilize",
@@ -156,80 +148,27 @@ def markov_aggregate(profile: Profile, mode: str = "climb-one-rung") -> LabeledM
     return _mean_matrix(profile, lambda order: transition_matrix(order, mode))
 
 
-def _frac_solve(m, rhs):
-    """Any exact solution x of m x = rhs over the rationals.
-
-    The system may be underdetermined; free variables are set to zero.
-    Raises NonConvergence if the system is inconsistent.
-    """
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    aug = [list(m[i]) + [rhs[i]] for i in range(n_rows)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if aug[i][n_cols] != 0:
-            raise NonConvergence("stationary solve hit an inconsistent system")
-    x = [Fraction(0)] * n_cols
-    for i, c in pivots:
-        x[c] = aug[i][n_cols]
-    return x
-
-
-def _cesaro_exact(f):
-    """Exact Cesàro limit y of the uniform start under row-stochastic f.
-
-    With A = F - I, the limit satisfies y = x0 - uA where u solves
-    uA² = x0 A; the eigenvalue 1 of a stochastic matrix is semisimple, so
-    the system is consistent and the construction is exact.
-    """
-    n = len(f)
-    one = Fraction(1)
-    a = [[f[i][j] - (one if i == j else 0) for j in range(n)] for i in range(n)]
-    a2 = [[sum(a[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    x0 = [Fraction(1, n)] * n
-    b = [sum(x0[i] * a[i][j] for i in range(n)) for j in range(n)]
-    a2t = [[a2[i][j] for i in range(n)] for j in range(n)]
-    u = _frac_solve(a2t, b)
-    ua = [sum(u[i] * a[i][j] for i in range(n)) for j in range(n)]
-    y = [x0[j] - ua[j] for j in range(n)]
-    if sum(y) != 1 or any(v < 0 for v in y):
-        raise NonConvergence("exact stationary solve left the simplex")
-    yf = [sum(y[i] * f[i][j] for i in range(n)) for j in range(n)]
-    if yf != y:
-        raise NonConvergence("exact stationary solve is not a fixed point")
-    return y
-
-
-def _cesaro_float(rows):
-    import numpy as np
-
-    n = len(rows)
-    f = np.array([[float(x) for x in row] for row in rows])
-    a = f - np.eye(n)
-    x0 = np.full(n, 1.0 / n)
-    b = x0 @ a
-    u, *_ = np.linalg.lstsq((a @ a).T, b, rcond=None)
-    y = x0 - u @ a
-    y = np.maximum(y, 0.0)
-    y = y / y.sum()
-    residual = float(np.max(np.abs(y @ f - y)))
-    return [float(v) for v in y], residual
+def _bareiss_solve(a, b):
+    """Solve a x = b for a nonsingular integer matrix a and integer vector
+    b without leaving the integers: fraction-free Gauss-Jordan elimination
+    (Bareiss), in which every division is exact. Returns (det, xs) with
+    x = xs / det, det = ±det(a)."""
+    n = len(a)
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        pk = pivot[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                row[k] = 0
+                for j in range(k + 1, n + 1):
+                    row[j] = (pk * row[j] - f * pivot[j]) // prev
+        prev = pk
+    return prev, [row[n] for row in rows]
 
 
 def stationary_distribution(m: LabeledMatrix) -> StationaryResult:
@@ -237,46 +176,68 @@ def stationary_distribution(m: LabeledMatrix) -> StationaryResult:
     Cesàro limit (1/T) sum of x0 Fᵗ from the uniform start.
 
     That limit exists for every stochastic matrix (periodic and reducible
-    ones included) and is computed in closed form: exactly over the
-    rationals up to dimension 12, by least squares on the same projector
-    equations above that.
+    ones included) and is computed exactly. With the chain scaled to
+    integers P = dF and its support split into strongly connected
+    components, the mass of x0 ends in the closed classes: a closed class
+    C keeps its own |C|/n and gains what the transient states T send it,
+    z (P_TC 1) / n with z (dI - P_TT) = 1; inside C it spreads as π_C, the
+    solution of π_C (dI - P_CC) = 0 with Σπ_C = 1. Both solves are integer
+    (Bareiss) eliminations, and the result is checked in integers: it sums
+    to 1, has no negative entry and satisfies yP = dy. A row whose sum is
+    not exactly 1 but within STATIONARY_TOL of it (float rows, say) is
+    first divided by its exact sum. Entries are Fractions.
     """
-    rows = m.rows
-    n = len(rows)
-    frac_rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    for row in frac_rows:
+    n = len(m.rows)
+    if n > STATIONARY_MAX_DIM:
+        raise CapExceeded(
+            f"stationary distribution needs at most {STATIONARY_MAX_DIM} states, got {n}"
+        )
+    rows = []
+    for row in m.rows:
+        row = [Fraction(x) for x in row]
         if any(x < 0 for x in row):
             raise NotADistribution("transition matrix has a negative entry")
-    exactly_stochastic = all(sum(row) == 1 for row in frac_rows)
-    if not exactly_stochastic:
-        sums = [sum(float(x) for x in row) for row in rows]
-        if any(abs(s - 1.0) > STATIONARY_TOL for s in sums):
-            raise NotADistribution("matrix rows do not sum to 1")
+        total = sum(row)
+        if total != 1:
+            if abs(float(total) - 1.0) > STATIONARY_TOL:
+                raise NotADistribution("matrix rows do not sum to 1")
+            row = [x / total for x in row]
+        rows.append(row)
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    p = [[int(x * d) for x in row] for row in rows]
 
-    if exactly_stochastic and n <= EXACT_DIM_LIMIT:
-        y = _cesaro_exact(frac_rows)
-        return StationaryResult(
-            labels=m.labels,
-            distribution=tuple(y),
-            residual=0.0,
-            exact=True,
-            method="rational-projector",
-        )
+    support = digraph(range(n), [(i, j) for i in range(n) for j in range(n)
+                                 if i != j and p[i][j]])
+    comps = strongly_connected_components(support)
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    closed = [comp for c, comp in enumerate(comps)
+              if all(comp_of[j] == c for i in comp for j in range(n) if p[i][j])]
+    absorbing = {v for comp in closed for v in comp}
+    transient = [v for v in range(n) if v not in absorbing]
 
-    y, residual = _cesaro_float(rows)
-    if residual > STATIONARY_TOL:
-        raise NonConvergence(
-            "stationary distribution residual too large",
-            estimate=tuple(y),
-            residual=residual,
-        )
-    return StationaryResult(
-        labels=m.labels,
-        distribution=tuple(y),
-        residual=residual,
-        exact=False,
-        method="least-squares",
+    det_t, z = _bareiss_solve(
+        [[d * (i == j) - p[j][i] for j in transient] for i in transient],
+        [1] * len(transient),
     )
+    y = [Fraction(0)] * n
+    for comp in closed:
+        inflow = sum(zt * sum(p[t][c] for c in comp) for zt, t in zip(z, transient))
+        weight = Fraction(det_t * len(comp) + inflow, det_t * n)
+        # π_C (dI - P_CC) = 0 with its last equation replaced by Σπ_C = 1
+        det_c, pi = _bareiss_solve(
+            [[d * (i == j) - p[j][i] for j in comp] for i in comp[:-1]] + [[1] * len(comp)],
+            [0] * (len(comp) - 1) + [1],
+        )
+        for v, num in zip(comp, pi):
+            y[v] = weight * Fraction(num, det_c)
+
+    scale = math.lcm(*(x.denominator for x in y))
+    ys = [int(x * scale) for x in y]
+    if sum(ys) != scale or any(v < 0 for v in ys) or any(
+        sum(ys[i] * p[i][j] for i in range(n)) != d * ys[j] for j in range(n)
+    ):
+        raise NonConvergence("exact stationary solve failed its integer check")
+    return StationaryResult(labels=m.labels, distribution=tuple(y))
 
 
 def shannon_entropy(p, base) -> EntropyValue:
@@ -293,20 +254,13 @@ def shannon_entropy(p, base) -> EntropyValue:
 
 
 def markov_order(sr: StationaryResult) -> Order:
-    """Policies grouped by descending stationary probability.
-
-    Exact results group on exact equality; float results group
-    probabilities within STATIONARY_TOL of the previous entry.
-    """
-    pairs = sorted(
-        zip(sr.labels, sr.distribution), key=lambda t: (-float(t[1]), t[0])
-    )
+    """Policies grouped by descending stationary probability; equal
+    probabilities share a group."""
+    pairs = sorted(zip(sr.labels, sr.distribution), key=lambda t: (-t[1], t[0]))
     groups = []
     last = None
     for label, prob in pairs:
-        if groups and (
-            prob == last if sr.exact else abs(float(prob) - float(last)) <= STATIONARY_TOL
-        ):
+        if groups and prob == last:
             groups[-1].append(label)
         else:
             groups.append([label])

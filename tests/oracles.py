@@ -2,9 +2,15 @@
 
 Each one computes what a library path computes, by a different or more
 direct route: a subset-DP path count for the Hamiltonian enumeration, a
-reachability test for circuit-freeness of sub-bigraphs, and the pass test
-of one selection for the simulator's fused sweep.
+reachability test for circuit-freeness of sub-bigraphs, the pass test of
+one selection for the simulator's fused sweep, and two projector solves of
+the Cesàro limit of a Markov chain, one over the rationals and one by least
+squares, for the stationary distribution.
 """
+
+from fractions import Fraction
+
+import numpy as np
 
 
 def count_hamiltonian_paths(g) -> int:
@@ -80,3 +86,68 @@ def interaction_allowed(x, y, cfg, draw: float) -> bool:
         return False
     d = cfg.n_features - s
     return cfg.k_effective * d + cfg.epsilon < draw
+
+
+def frac_solve(m, rhs):
+    """Any exact solution x of m x = rhs over the rationals.
+
+    The system may be underdetermined; free variables are set to zero.
+    Raises ValueError if the system is inconsistent.
+    """
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    aug = [list(m[i]) + [rhs[i]] for i in range(n_rows)]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if aug[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(n_rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == n_rows:
+            break
+    for i in range(r, n_rows):
+        if aug[i][n_cols] != 0:
+            raise ValueError("inconsistent system")
+    x = [Fraction(0)] * n_cols
+    for i, c in pivots:
+        x[c] = aug[i][n_cols]
+    return x
+
+
+def cesaro_exact(f):
+    """Exact Cesàro limit y of the uniform start under row-stochastic f.
+
+    With A = F - I, the limit satisfies y = x0 - uA where u solves
+    uA² = x0 A; the eigenvalue 1 of a stochastic matrix is semisimple, so
+    the system is consistent and the construction is exact.
+    """
+    n = len(f)
+    f = [[Fraction(x) for x in row] for row in f]
+    a = [[f[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    a2 = [[sum(a[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    x0 = [Fraction(1, n)] * n
+    b = [sum(x0[i] * a[i][j] for i in range(n)) for j in range(n)]
+    a2t = [[a2[i][j] for i in range(n)] for j in range(n)]
+    u = frac_solve(a2t, b)
+    ua = [sum(u[i] * a[i][j] for i in range(n)) for j in range(n)]
+    return [x0[j] - ua[j] for j in range(n)]
+
+
+def cesaro_lstsq(f):
+    """The same projector equations solved in floats by least squares."""
+    n = len(f)
+    f = np.array([[float(x) for x in row] for row in f])
+    a = f - np.eye(n)
+    x0 = np.full(n, 1.0 / n)
+    u, *_ = np.linalg.lstsq((a @ a).T, x0 @ a, rcond=None)
+    y = np.maximum(x0 - u @ a, 0.0)
+    return [float(v) for v in y / y.sum()]

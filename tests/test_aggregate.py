@@ -103,9 +103,16 @@ def test_dominated_cycle():
 
 def test_majority_digraph_threshold(paradox):
     agg, _ = aggregate_reach(paradox)
-    g, thr = majority_digraph(agg)
-    assert thr == Fraction(3, 2)
-    assert set(g.edges) == {("x", "y"), ("y", "z"), ("z", "x")}
+    assert set(majority_digraph(agg).edges) == {("x", "y"), ("y", "z"), ("z", "x")}
+    # a above b for two of four voters: an exact tie at half, so no edge
+    tie = profile_from_dict({
+        "policies": ["a", "b"],
+        "voters": [{"id": f"v{i}", "ranking": r} for i, r in
+                   enumerate([[["a"], ["b"]], [["a"], ["b"]], [["b"], ["a"]], [["b"], ["a"]]])],
+    })
+    agg, _ = aggregate_reach(tie)
+    assert agg.q.entry("a", "b") == agg.q.entry("b", "a") == 2
+    assert majority_digraph(agg).edges == frozenset()
 
 
 def test_condense_borda4(borda4):

@@ -513,17 +513,18 @@ def test_module_invocation_smoke():
     assert proc.stdout.strip() == "13"
 
 
-# Runs each argv list through main in one fresh interpreter and reports,
-# per call, the exit code, stdout, and whether numpy has been imported.
+# Runs each argv list through main in one fresh interpreter in which numpy
+# cannot be imported, and reports the exit code and stdout of each call.
 MAIN_IN_CHILD = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None
 from preflattice.cli import main
 results = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = main(argv)
-    results.append([rc, out.getvalue(), "numpy" in sys.modules])
+    results.append([rc, out.getvalue()])
 print(json.dumps(results))
 """
 
@@ -539,11 +540,17 @@ def main_in_child(argvs):
     return json.loads(proc.stdout)
 
 
-def test_numpy_loads_only_where_used(tmp_path, capsys):
+def test_no_subcommand_loads_numpy(tmp_path, capsys):
     profile = write_json(tmp_path / "borda4.json", BORDA4)
     consensus = write_json(tmp_path / "consensus.json", {
         "policies": ["a", "b", "c"],
         "voters": [{"id": v, "ranking": [["a"], ["b"], ["c"]]} for v in ("v1", "v2")],
+    })
+    labels = [f"p{i:02d}" for i in range(13)]
+    thirteen = write_json(tmp_path / "thirteen.json", {
+        "policies": labels,
+        "voters": [{"id": f"v{i}", "ranking": [labels[i:i + 3], labels[i + 3:] + labels[:i]]}
+                   for i in range(0, 9, 2)],
     })
     comparisons = write_worked_csv(tmp_path / "worked.csv")
     poset_path = write_json(tmp_path / "poset.json", {
@@ -552,28 +559,29 @@ def test_numpy_loads_only_where_used(tmp_path, capsys):
     events = tmp_path / "events.csv"
     events.write_text(SCENARIO_EVENTS, encoding="utf-8")
     interests = write_json(tmp_path / "interests.json", {"threads": SCENARIO_THREADS})
-    numpy_free = [
+    # 400 agents over 10^5 trait vectors: well over 144 varieties per period
+    wide = dict(SIM_CONFIG, n_features=5, traits_per_feature=10, max_periods=2,
+                topology={"kind": "square", "rows": 20, "cols": 20})
+    argvs = [
         ["count-orders", "5"],
         ["enumerate-orders", "a", "b", "c"],
         ["aggregate", profile],
         ["borda", "--averaged", profile],
-        ["entropy", "--mode", "markov", profile],  # the exact path
+        ["entropy", "--mode", "markov", profile],
+        ["entropy", "--mode", "markov", thirteen],  # floats printed above 12 policies
         ["entropy", "--mode", "topo", consensus],  # one-vertex blocks only
+        ["entropy", "--mode", "topo", write_json(tmp_path / "paradox.json", PARADOX)],
         ["mlorder", comparisons],
         ["mlorder", comparisons, "--mode", "all-weak"],
         ["antichain", poset_path],
         ["tg-check", tg, "--from", "s1", "--to", "s2"],
         ["scenario-newsgroup", str(events), "--interests", interests],
-    ]
-    with_numpy = [
-        ["entropy", "--mode", "topo", write_json(tmp_path / "paradox.json", PARADOX)],
         ["simulate", write_json(tmp_path / "config.json", SIM_CONFIG)],
+        ["simulate", write_json(tmp_path / "wide.json", wide)],
     ]
-    results = main_in_child(numpy_free + with_numpy)
-    for argv, (rc, out, numpy_loaded) in zip(numpy_free, results):
+    results = main_in_child(argvs)
+    for argv, (rc, out) in zip(argvs, results):
         assert rc == 0 and out, argv
-        assert not numpy_loaded, argv
-    assert results[len(numpy_free)][2]  # a cyclic block takes the numpy path
-    # the paths that do use numpy still print what they print in process
-    for argv, (rc, out, _) in zip(numpy_free + with_numpy, results):
         assert run_cli(argv, capsys) == (rc, out, ""), argv
+    varieties = [int(row.split(",")[-1]) for row in results[-1][1].splitlines()[1:]]
+    assert min(varieties) > 144

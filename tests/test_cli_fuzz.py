@@ -282,6 +282,7 @@ def k_case(k):
 
 
 COMPARISONS = "i,j,outcome\n1,2,>\n"
+WIDE = [f"p{i}" for i in range(101)]
 
 PINNED = [
     (BIG_COUNT, 3),
@@ -292,6 +293,9 @@ PINNED = [
     (interest_case("a+b"), 2),
     (k_case(float("nan")), 2),
     (k_case(float("inf")), 2),
+    # the exact stationary solve is capped at 100 policies
+    (case("entropy", "--mode", "markov", "p.json", **{"p.json": json.dumps(
+        {"policies": WIDE, "voters": [{"id": "v", "ranking": [WIDE]}]})}), 3),
     # found by the fuzz tests below
     (case("antichain", "g.json", **{"g.json": json.dumps({"vertices": [], "edges": [[]]})}), 2),
     (case("mlorder", "c.csv", "--candidates", "k.json",

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preflattice import culture
 from preflattice.culture import (
     CultureConfig,
     Field,
@@ -436,7 +435,6 @@ def bucket_compatibility_entropy(fieldstate):
     return entropy / math.log(n_agents * (n_agents - 1) / 2)
 
 
-# Up to 200 agents, so the numpy mask can run as well as the direct pair test.
 FIELDS = st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=200),
@@ -465,8 +463,7 @@ def test_compatible_pairs_and_entropy_match_bucket_method(field_spec):
 
 
 @pytest.mark.parametrize("n_agents", [60, 150])
-def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents, monkeypatch):
-    monkeypatch.setattr(culture, "DIRECT_PAIRS", 16)  # so the numpy mask runs
+def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents):
     rng = random.Random(n_agents)
     agents = [[rng.randrange(6) for _ in range(5)] for _ in range(n_agents)]
     cfg = small_cfg(n_features=5, traits_per_feature=6,
@@ -475,9 +472,7 @@ def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents, monkeypat
     counts = {}
     for agent in agents:
         counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
-    varieties = list(counts)
-    assert len(varieties) > culture.DIRECT_PAIRS
-    assert found_pairs(varieties, 5, 6) == bucket_pairs(counts)
+    assert found_pairs(list(counts), 5, 6) == bucket_pairs(counts)
     assert compatibility_entropy(fieldstate) == bucket_compatibility_entropy(fieldstate)
 
 

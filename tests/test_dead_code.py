@@ -1,6 +1,7 @@
 """Every top-level function and class in the library has a library caller
-or is exported, every defaulted parameter is set by some call, and every
-layer function the benchmark traces exists.
+or is exported, every defaulted parameter is set by some call, every
+layer function the benchmark traces exists, and the library runs on the
+standard library alone.
 
 A helper only tests call belongs in the tests (``oracles.py`` holds the
 reference implementations); one nobody calls belongs nowhere. A default
@@ -11,6 +12,8 @@ import ast
 import importlib
 import math
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "preflattice"
@@ -62,6 +65,23 @@ def test_every_traced_layer_function_resolves():
     ]
     assert not missing, f"traced but not defined: {', '.join(missing)}"
 
+
+def test_library_imports_no_numpy_and_declares_no_dependency():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                importers.append(path.name)
+    assert not importers, f"numpy imported by: {', '.join(importers)}"
+    tomllib = pytest.importorskip("tomllib")
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 def _defaulted_params():

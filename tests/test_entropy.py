@@ -19,6 +19,7 @@ from preflattice.entropy import (
 from preflattice.errors import NotADistribution
 
 import worked_example as wx
+from oracles import cesaro_exact, cesaro_lstsq
 
 
 def one_voter(policies, groups):
@@ -60,7 +61,6 @@ def test_topological_entropy_paradox(paradox):
 
 def test_stationary_borda_exact(borda4):
     sr = stationary_distribution(markov_aggregate(borda4))
-    assert sr.exact and sr.method == "rational-projector"
     assert sr.labels == ("w", "x", "y", "z")
     assert sr.distribution == wx.BORDA4_STATIONARY
 
@@ -79,7 +79,6 @@ def test_stationary_periodic_chain():
     m = LabeledMatrix(("a", "b"), ((Fraction(0), Fraction(1)),
                                    (Fraction(1), Fraction(0))))
     sr = stationary_distribution(m)
-    assert sr.exact
     assert sr.distribution == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -96,16 +95,22 @@ def test_stationary_reducible_absorbing():
     assert sr.distribution == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
 
 
-def test_stationary_large_matrix_uses_floats():
+def test_stationary_large_matrix_is_exact():
     n = 13
     labels = tuple(f"s{i}" for i in range(n))
     rows = tuple(
         tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n)
     )
     sr = stationary_distribution(LabeledMatrix(labels, rows))
-    assert not sr.exact and sr.method == "least-squares"
-    for x in sr.distribution:
-        assert x == pytest.approx(1 / n, abs=1e-8)
+    assert sr.distribution == (Fraction(1, n),) * n
+
+
+def test_stationary_float_rows_are_divided_by_their_exact_sums():
+    # 0.1 + 0.2 + 0.7 is 1.0 in floats but not over the rationals
+    rows = ((0.1, 0.2, 0.7), (0.5, 0.5, 0.0), (0.0, 0.25, 0.75))
+    y = stationary_distribution(LabeledMatrix(("a", "b", "c"), rows)).distribution
+    assert sum(y) == 1
+    assert [float(x) for x in y] == pytest.approx(cesaro_lstsq(rows), rel=1e-12)
 
 
 def test_stationary_rejects_bad_rows():
@@ -135,8 +140,8 @@ def test_markov_order_groups_ties(borda4, paradox):
 
 
 @st.composite
-def stochastic_matrix(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
+def stochastic_matrix(draw, min_n=2, max_n=5):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     rows = []
     for _ in range(n):
         weights = draw(
@@ -152,9 +157,8 @@ def stochastic_matrix(draw):
 @settings(max_examples=60, deadline=None)
 @given(stochastic_matrix())
 def test_stationary_is_invariant_distribution(m):
-    sr = stationary_distribution(m)
-    y = sr.distribution
-    assert sr.exact
+    y = stationary_distribution(m).distribution
+    assert all(isinstance(x, Fraction) for x in y)
     assert sum(y) == 1
     assert all(x >= 0 for x in y)
     n = len(y)
@@ -163,12 +167,12 @@ def test_stationary_is_invariant_distribution(m):
 
 
 @st.composite
-def layered_profile(draw, max_voters=6):
-    """Profiles over 2-8 policies split into consecutive layers that every
-    voter ranks in the same order, each voter drawing any weak order inside
-    each layer: unanimous orderings between tied blocks make the mean
+def layered_profile(draw, max_voters=6, min_k=2, max_k=8):
+    """Profiles over min_k-max_k policies split into consecutive layers that
+    every voter ranks in the same order, each voter drawing any weak order
+    inside each layer: unanimous orderings between tied blocks make the mean
     preference matrix reducible, and often defective."""
-    k = draw(st.integers(min_value=2, max_value=8))
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
     labels = [f"p{i}" for i in range(k)]
     cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=k - 1))))
     layers = [labels[a:b] for a, b in zip([0] + cuts, cuts + [k])]
@@ -187,6 +191,41 @@ def layered_profile(draw, max_voters=6):
         "policies": labels,
         "voters": [{"id": f"v{i}", "ranking": ballots[b]} for i, b in enumerate(picks)],
     })
+
+
+@st.composite
+def sparse_chain(draw, min_n, max_n):
+    """Chains with a few successors per state: each state follows a random
+    permutation (periodic cycles), stays put (absorbing), or follows it and
+    adds up to two weighted successors, so closed classes, transient states
+    and periods all occur."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    perm = draw(st.permutations(range(n)))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(("cycle", "absorb", "mix")))
+        weights = [0] * n
+        weights[i if kind == "absorb" else perm[i]] = 1
+        if kind == "mix":
+            for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+                weights[j] += draw(st.integers(1, 9))
+        rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    return LabeledMatrix(tuple(f"s{i}" for i in range(n)), tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(stochastic_matrix(), sparse_chain(1, 12),
+                 layered_profile(max_k=12).map(markov_aggregate)))
+def test_stationary_matches_rational_projector_up_to_12(m):
+    assert stationary_distribution(m).distribution == tuple(cesaro_exact(m.rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(stochastic_matrix(13, 20), sparse_chain(13, 40),
+                 layered_profile(min_k=13, max_k=40).map(markov_aggregate)))
+def test_stationary_matches_least_squares_from_13_to_40(m):
+    y = stationary_distribution(m).distribution
+    assert [float(x) for x in y] == pytest.approx(cesaro_lstsq(m.rows), rel=1e-12)
 
 
 def oracle_spectral_radius(rows):
