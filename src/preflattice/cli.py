@@ -517,9 +517,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not after main returns
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # The reader has gone: not bad input, and nobody is left to tell.
+        # Output still buffered goes to devnull so the flush at exit cannot
+        # fail again; exit 1, as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ResourceError as exc:
         _error_line(exc)
         return 3

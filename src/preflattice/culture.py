@@ -5,7 +5,9 @@ each selection picks an agent, one of its neighbors, and a chance draw, and
 on a pass the agent copies one differing trait from the neighbor (Egoistic)
 or does so only with a seconding neighbor (PeerPossible). Activity, variety
 entropy, and compatibility entropy are sampled per period until stasis or a
-period limit.
+period limit. Compatibility entropy counts the compatible variety pairs per
+pair of population classes, testing one code against a whole class packed
+into one int, and takes one log per class pair.
 """
 
 from __future__ import annotations
@@ -427,12 +429,14 @@ def _variety_counts(fieldstate: Field) -> Counter:
     return Counter(fieldstate.codes)
 
 
-def variety_entropy(fieldstate: Field) -> float:
-    """Entropy of the variety distribution, normalized by ln N."""
+def variety_entropy(fieldstate: Field, *, counts=None) -> float:
+    """Entropy of the variety distribution, normalized by ln N. ``counts``
+    is the field's ``_variety_counts``, when the caller already has it."""
     n_agents = fieldstate.size
     if n_agents <= 1:
         return 0.0
-    counts = _variety_counts(fieldstate)
+    if counts is None:
+        counts = _variety_counts(fieldstate)
     if len(counts) <= 1:
         return 0.0
     total = -sum(
@@ -454,26 +458,79 @@ def _compatible_variety_pairs(varieties, codec: TraitCodec):
             if (u ^ varieties[b]) + ones & guards != guards]
 
 
-def compatibility_entropy(fieldstate: Field) -> float:
+def _compatible_class_pairs(counts, codec: TraitCodec) -> dict:
+    """{(i, j): m}, i <= j: the number m of compatible variety pairs whose
+    populations are i and j, for each pair of population classes with m > 0.
+
+    Each class's codes are packed into one int P, one slot of s = n*w + 1
+    bits per code (the top bit of a slot stays 0), and R holds 1 at the
+    base of every slot. For a code u, ``(u*R ^ P) + K*R & H*R`` marks in
+    each slot the features where u and that code differ (the TraitCodec
+    test, run on every slot at once, no carry crossing a slot); adding
+    T - H to a slot (T = 2^(n*w)) carries into its top bit exactly when
+    every guard is set, so the bit count of ``& T*R`` counts the codes u
+    shares no trait with. Classes are taken largest first and each code of
+    a class runs against every class packed so far, its own included, so
+    the loop always runs over the smaller class; within a class u also
+    meets itself, so the count loses the class size and is halved. A class
+    of one code is its own P, with R = 1.
+    """
+    classes = {}
+    for code, k in counts.items():
+        classes.setdefault(k, []).append(code)
+    slot = codec.n * codec.width + 1
+    top = 1 << slot - 1
+    fmt = f"0{slot}b"
+    ones, guards = codec.ones, codec.guards
+    spare = top - guards
+    base = (1 << slot) - 1
+    pairs = {}
+    packed = []  # (population, slots, P, R, K*R, H*R, (T - H)*R, T*R)
+    for codes in sorted(classes.values(), key=len, reverse=True):
+        k, size = counts[codes[0]], len(codes)
+        if size == 1:
+            packed.append((k, 1, codes[0], 1, ones, guards, spare, top))
+        else:
+            r = ((1 << size * slot) - 1) // base
+            packed.append((k, size, int("".join([format(c, fmt) for c in codes]), 2),
+                           r, ones * r, guards * r, spare * r, top * r))
+        for j, slots, p, r, kr, hr, mr, tr in packed:
+            disjoint = 0
+            for u in codes:
+                disjoint += (((u * r ^ p) + kr & hr) + mr & tr).bit_count()
+            m = size * slots - disjoint
+            if j == k:
+                m = (m - size) // 2
+            if m:
+                pairs[(j, k) if j < k else (k, j)] = m
+    return pairs
+
+
+def compatibility_entropy(fieldstate: Field, *, counts=None) -> float:
     """Entropy over joint appearance probabilities of mutually compatible
     variety pairs, renormalized to a distribution and scaled by
-    ln C(N, 2)."""
+    ln C(N, 2). ``counts`` is the field's ``_variety_counts``, when the
+    caller already has it.
+
+    A pair's probability depends only on the two populations i and j:
+    p_ij = (i/N)(j/(N-i)) + (j/N)(i/(N-j)). So the m_ij compatible pairs
+    of each class pair are counted (``_compatible_class_pairs``) and each
+    class pair takes one log: with S = sum m*p, the entropy is
+    -sum m*(p/S)*ln(p/S), both sums taken with ``math.fsum``.
+    """
     n_agents = fieldstate.size
     if n_agents < 3:
         return 0.0  # ln C(N,2) vanishes or pairs cannot exist
-    counts = _variety_counts(fieldstate)
-    sizes = list(counts.values())
-    events = []
-    for a, b in _compatible_variety_pairs(list(counts), fieldstate.codec):
-        nu, nv = sizes[a], sizes[b]
-        events.append(
-            (nu / n_agents) * (nv / (n_agents - nu))
-            + (nv / n_agents) * (nu / (n_agents - nv))
-        )
+    if counts is None:
+        counts = _variety_counts(fieldstate)
+    events = [
+        (m, (i / n_agents) * (j / (n_agents - i)) + (j / n_agents) * (i / (n_agents - j)))
+        for (i, j), m in _compatible_class_pairs(counts, fieldstate.codec).items()
+    ]
     if not events:
         return 0.0
-    total = sum(events)
-    entropy = -sum((p / total) * math.log(p / total) for p in events)
+    total = math.fsum([m * p for m, p in events])
+    entropy = -math.fsum([m * (p / total) * math.log(p / total) for m, p in events])
     return entropy / math.log(n_agents * (n_agents - 1) / 2)
 
 
@@ -582,13 +639,14 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
         )
         interactions_total += interactions
         no_seconder_total += no_seconder
-        varieties = len(_variety_counts(fieldstate))
+        counts = _variety_counts(fieldstate)
+        varieties = len(counts)
         series.append(
             MetricsSample(
                 t=t,
                 eta=interactions / selections,
-                s_v=variety_entropy(fieldstate),
-                s_c=compatibility_entropy(fieldstate),
+                s_v=variety_entropy(fieldstate, counts=counts),
+                s_c=compatibility_entropy(fieldstate, counts=counts),
                 varieties=varieties,
             )
         )

@@ -3,12 +3,16 @@
 Each one computes what a library path computes, by a different or more
 direct route: a subset-DP path count for the Hamiltonian enumeration, a
 reachability test for circuit-freeness of sub-bigraphs, the pass test of
-one selection for the simulator's fused sweep, and two projector solves of
-the Cesàro limit of a Markov chain, one over the rationals and one by least
-squares, for the stationary distribution.
+one selection for the simulator's fused sweep, the compatibility entropy in
+40-digit decimals with one term per compatible pair, and two projector
+solves of the Cesàro limit of a Markov chain, one over the rationals and
+one by least squares, for the stationary distribution.
 """
 
+from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -86,6 +90,33 @@ def interaction_allowed(x, y, cfg, draw: float) -> bool:
         return False
     d = cfg.n_features - s
     return cfg.k_effective * d + cfg.epsilon < draw
+
+
+def compatibility_entropy_decimal(agents) -> float:
+    """Compatibility entropy of a population of trait vectors, computed in
+    40-digit decimals: one probability term per pair of distinct varieties
+    sharing a trait, renormalized, and its entropy scaled by ln C(N, 2).
+    Equal probabilities share one evaluation of their log."""
+    if len(agents) < 3:
+        return 0.0
+    counts = Counter(map(tuple, agents))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        n = Decimal(len(agents))
+        probs = [
+            nu / n * (nv / (n - nu)) + nv / n * (nu / (n - nv))
+            for (u, nu), (v, nv) in combinations(counts.items(), 2)
+            if similarity(u, v) > 0
+        ]
+        if not probs:
+            return 0.0
+        total = sum(probs)
+        logs = {}
+        for p in probs:
+            if p not in logs:
+                logs[p] = (p / total).ln()
+        entropy = -sum(p / total * logs[p] for p in probs)
+        return float(entropy / (n * (n - 1) / 2).ln())
 
 
 def frac_solve(m, rhs):

@@ -513,6 +513,38 @@ def test_module_invocation_smoke():
     assert proc.stdout.strip() == "13"
 
 
+def cli_child(args, **kwargs):
+    """``python -m preflattice.cli`` on this tree's sources, with stdout
+    block-buffered as it is by default on a pipe."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.Popen([sys.executable, "-m", "preflattice.cli", *args],
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def test_closed_stdout_exits_1_silently():
+    # seven labels print about 700 kB, far more than a pipe buffer holds
+    proc = cli_child(["enumerate-orders", *"abcdefg"], stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"a=b=c=d=e=f=g\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 1
+
+
+def test_stdout_closed_before_the_first_write_exits_1_silently():
+    # output small enough to sit in the buffer until the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_child(["count-orders", "4"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 1
+
+
 # Runs each argv list through main in one fresh interpreter in which numpy
 # cannot be imported, and reports the exit code and stdout of each call.
 MAIN_IN_CHILD = """

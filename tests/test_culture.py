@@ -12,6 +12,7 @@ from preflattice.culture import (
     Field,
     MetricsSample,
     TraitCodec,
+    _compatible_class_pairs,
     _compatible_variety_pairs,
     build_topology,
     classify_epochs,
@@ -30,7 +31,7 @@ from preflattice.culture import (
 )
 from preflattice.errors import InputError, SeriesTooShort
 
-from oracles import interaction_allowed, similarity
+from oracles import compatibility_entropy_decimal, interaction_allowed, similarity
 
 
 def small_cfg(**overrides):
@@ -448,6 +449,30 @@ def found_pairs(varieties, n, q):
     return [(varieties[a], varieties[b]) for a, b in _compatible_variety_pairs(codes, codec)]
 
 
+def class_pair_histogram(counts, codec):
+    """{(i, j): m} from the pair list: the compatible pairs found one by one,
+    keyed by their two populations."""
+    sizes = list(counts.values())
+    out = Counter()
+    for a, b in _compatible_variety_pairs(list(counts), codec):
+        out[tuple(sorted((sizes[a], sizes[b])))] += 1
+    return dict(out)
+
+
+def assert_entropy_matches_oracles(n, q, agents):
+    """Class-pair counts equal the pair list's histogram; the entropy is
+    within 1e-14 of the 40-digit oracle."""
+    cfg = small_cfg(n_features=n, traits_per_feature=q,
+                    topology={"kind": "mobian-circle", "agents": max(3, len(agents)), "turn": 1})
+    fieldstate = Field(cfg, build_topology(cfg.topology), [list(a) for a in agents])
+    counts = Counter(fieldstate.codes)
+    assert _compatible_class_pairs(counts, fieldstate.codec) == class_pair_histogram(
+        counts, fieldstate.codec)
+    value = compatibility_entropy(fieldstate)
+    assert math.isclose(value, compatibility_entropy_decimal(agents), rel_tol=1e-14)
+    return fieldstate, value
+
+
 @settings(max_examples=200, deadline=None)
 @given(FIELDS)
 def test_compatible_pairs_and_entropy_match_bucket_method(field_spec):
@@ -456,24 +481,59 @@ def test_compatible_pairs_and_entropy_match_bucket_method(field_spec):
     for agent in agents:
         counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
     assert found_pairs(list(counts), n, 6) == bucket_pairs(counts)
-    cfg = small_cfg(n_features=n, traits_per_feature=6,
-                    topology={"kind": "mobian-circle", "agents": max(3, len(agents)), "turn": 1})
-    fieldstate = Field(cfg, build_topology(cfg.topology), [list(a) for a in agents])
-    assert compatibility_entropy(fieldstate) == bucket_compatibility_entropy(fieldstate)
+    fieldstate, value = assert_entropy_matches_oracles(n, 6, agents)
+    # the bucket oracle sums with plain floats and is itself off by up to 1e-11
+    assert value == pytest.approx(bucket_compatibility_entropy(fieldstate), rel=1e-9)
 
 
 @pytest.mark.parametrize("n_agents", [60, 150])
 def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents):
     rng = random.Random(n_agents)
     agents = [[rng.randrange(6) for _ in range(5)] for _ in range(n_agents)]
-    cfg = small_cfg(n_features=5, traits_per_feature=6,
-                    topology={"kind": "mobian-circle", "agents": n_agents, "turn": 1})
-    fieldstate = Field(cfg, build_topology(cfg.topology), agents)
     counts = {}
     for agent in agents:
         counts[tuple(agent)] = counts.get(tuple(agent), 0) + 1
     assert found_pairs(list(counts), 5, 6) == bucket_pairs(counts)
-    assert compatibility_entropy(fieldstate) == bucket_compatibility_entropy(fieldstate)
+    fieldstate, value = assert_entropy_matches_oracles(5, 6, agents)
+    assert value == pytest.approx(bucket_compatibility_entropy(fieldstate), rel=1e-9)
+
+
+def _drawn(n, q, size, traits, seed):
+    rng = random.Random(seed)
+    return [[rng.choice(traits) for _ in range(n)] for _ in range(size)]
+
+
+def _classes(populations, seed):
+    """Distinct 4-feature varieties over 5 traits, the i-th repeated
+    populations[i] times."""
+    rng = random.Random(seed)
+    varieties = rng.sample([[a, b, c, d] for a in range(5) for b in range(5)
+                            for c in range(5) for d in range(5)], len(populations))
+    return [v for v, k in zip(varieties, populations) for _ in range(k)]
+
+
+EDGE_FIELDS = {
+    "q=1": (3, 1, [[0, 0, 0]] * 5),
+    "q=2": (4, 2, _drawn(4, 2, 30, (0, 1), 2)),
+    "q=16": (3, 16, _drawn(3, 16, 40, (0, 1, 14, 15), 16)),
+    "q=17": (3, 17, _drawn(3, 17, 40, (0, 1, 15, 16), 17)),
+    "n=1": (1, 5, _drawn(1, 5, 30, range(5), 1)),  # distinct varieties share nothing
+    "n=20, q=1000": (20, 1000, _drawn(20, 1000, 100, range(1000), 20)),
+    "no compatible pair": (3, 4, [[t, t, t] for t in range(4)] * 2),
+    "two agents": (3, 4, [[0, 1, 2], [0, 1, 3]]),
+    "one variety": (3, 4, [[1, 2, 3]] * 7),
+    "population classes": (4, 5, _classes([1, 1, 1, 2, 2, 3, 3, 3, 5, 8, 13, 40], 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_FIELDS))
+def test_compatibility_entropy_edge_fields(name):
+    n, q, agents = EDGE_FIELDS[name]
+    _, value = assert_entropy_matches_oracles(n, q, agents)
+    if name in ("q=1", "n=1", "no compatible pair", "two agents", "one variety"):
+        assert value == 0.0
+    else:
+        assert value > 0.0
 
 
 # Packed codes: one int per trait vector (see TraitCodec).
