@@ -19,7 +19,7 @@ from .core import (
     profile_from_dict,
     transition_matrix,
 )
-from .culture import CultureConfig, classify_epochs, run, run_replicates
+from .culture import CultureConfig, classify_epochs, run, run_replicates, variety_table
 from .entropy import (
     markov_aggregate,
     markov_order,
@@ -94,4 +94,5 @@ __all__ = [
     "transition_matrix",
     "uncertainty",
     "validate_protocol",
+    "variety_table",
 ]

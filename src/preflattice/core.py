@@ -176,7 +176,7 @@ def csv_rows(fileobj, header):
     start = 1  # the physical line the next record starts on
     for row in reader:
         lineno, start = start, reader.line_num + 1
-        cells = tuple(cell.strip() for cell in row)
+        cells = tuple(map(str.strip, row))
         if not any(cells):
             continue
         if len(cells) != len(header):

@@ -534,39 +534,40 @@ def compatibility_entropy(fieldstate: Field, *, counts=None) -> float:
     return entropy / math.log(n_agents * (n_agents - 1) / 2)
 
 
+def _ranked_varieties(fieldstate: Field) -> list:
+    """(code, identity string, count) per variety, by descending count,
+    ties by identity string: the rows of the variety table in order."""
+    unpack = fieldstate.codec.unpack
+    ranked = [(v, ",".join(map(str, unpack(v))), c)
+              for v, c in _variety_counts(fieldstate).items()]
+    ranked.sort(key=lambda row: (-row[2], row[1]))
+    return ranked
+
+
 def variety_table(fieldstate: Field) -> tuple:
     """VarietyRow per variety, by descending population (ties by identity
     string), each with the ranks of the varieties it could interact with."""
-    counts = _variety_counts(fieldstate)
-    varieties = list(counts)
-    unpack = fieldstate.codec.unpack
-    identity = {v: ",".join(map(str, unpack(v))) for v in varieties}
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], identity[kv[0]]))
-    rank_of = {v: i + 1 for i, (v, _) in enumerate(ordered)}
-    compat = {v: set() for v in counts}
-    for a, b in _compatible_variety_pairs(varieties, fieldstate.codec):
-        u, v = varieties[a], varieties[b]
-        compat[u].add(rank_of[v])
-        compat[v].add(rank_of[u])
+    ranked = _ranked_varieties(fieldstate)
+    compat = [[] for _ in ranked]
+    # pairs come in row-major order of rank, so each list fills ascending
+    for a, b in _compatible_variety_pairs([v for v, _, _ in ranked], fieldstate.codec):
+        compat[a].append(b + 1)
+        compat[b].append(a + 1)
     return tuple(
-        VarietyRow(
-            order=i + 1,
-            identity=identity[v],
-            count=c,
-            compatible_with=tuple(sorted(compat[v])),
-        )
-        for i, (v, c) in enumerate(ordered)
+        VarietyRow(order=i + 1, identity=identity, count=c, compatible_with=tuple(compat[i]))
+        for i, (_, identity, c) in enumerate(ranked)
     )
 
 
 def snapshot(fieldstate: Field):
     """Per agent: coordinates, identity encoding, log identity, and the
     rank of its variety in the current variety table."""
-    rank_of = {row.identity: row.order for row in variety_table(fieldstate)}
+    rank_of = {v: i + 1 for i, (v, _, _) in enumerate(_ranked_varieties(fieldstate))}
     out = []
-    for (x, y), agent in zip(fieldstate.topology.coords, fieldstate.agents):
+    for (x, y), code, agent in zip(fieldstate.topology.coords, fieldstate.codes,
+                                   fieldstate.agents):
         h, hhat = identity_metric(agent, fieldstate.q)
-        out.append((x, y, h, hhat, rank_of[",".join(map(str, agent))]))
+        out.append((x, y, h, hhat, rank_of[code]))
     return out
 
 

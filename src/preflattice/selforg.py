@@ -10,9 +10,11 @@ grant logs.
 from __future__ import annotations
 
 import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from .core import Order, csv_rows, make_order
 from .errors import (
@@ -25,28 +27,27 @@ from .errors import (
     UnmappedThread,
 )
 from .graphalg import Digraph, digraph
-from .mlorder import max_likelihood_order, tally
+from .mlorder import ComparisonTally, max_likelihood_order
 
 KINDS = ("initiate", "followup", "ack")
 APATHY = "∅"
 ENTRY = "entry"
 
 
-@dataclass(frozen=True, slots=True)
-class PostingEvent:
-    t: int
-    subscriber: str
-    thread: str
-    kind: str
-    parent: int | None = None  # t of the referenced event, same thread
+class PostingEvent(namedtuple("PostingEvent", "t subscriber thread kind parent")):
+    """One posting; ``parent`` is the t of the referenced event in the
+    same thread. A tuple of its five fields, checked on construction."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"event kind {self.kind!r} not in {KINDS}")
-        if self.kind == "initiate" and self.parent is not None:
+    __slots__ = ()
+
+    def __new__(cls, t, subscriber, thread, kind, parent=None):
+        if kind not in KINDS:
+            raise InputError(f"event kind {kind!r} not in {KINDS}")
+        if kind == "initiate" and parent is not None:
             raise InputError("initiations do not reference a parent")
-        if self.kind != "initiate" and self.parent is None:
-            raise InputError(f"{self.kind} events need a parent reference")
+        if kind != "initiate" and parent is None:
+            raise InputError(f"{kind} events need a parent reference")
+        return tuple.__new__(cls, (t, subscriber, thread, kind, parent))
 
 
 @dataclass
@@ -58,18 +59,20 @@ class ThreadLedger:
     counted: tuple
     flags: dict  # PostingEvent -> flag string
     _by_subscriber: dict = field(init=False, repr=False, compare=False)
+    _subscribers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # built here rather than lazily, so dataclasses.replace rebuilds it
+        # built here rather than lazily, so dataclasses.replace rebuilds them
         self._by_subscriber = {}
         for e in self.counted:
             self._by_subscriber.setdefault(e.subscriber, []).append(e)
+        self._subscribers = tuple(sorted({e.subscriber for e in self.events}))
 
     def counted_threads(self, subscriber) -> set:
         return {e.thread for e in self._by_subscriber.get(subscriber, ())}
 
     def subscribers(self) -> tuple:
-        return tuple(sorted({e.subscriber for e in self.events}))
+        return self._subscribers
 
     def activity(self, subscriber) -> int:
         return len(self._by_subscriber.get(subscriber, ()))
@@ -82,33 +85,17 @@ class ThreadLedger:
 def read_postings_csv(fileobj):
     """Rows ``t,subscriber,thread,kind,parent`` (parent empty for
     initiations); a header row with those names is skipped when it is
-    the first non-blank row."""
+    the first non-blank row. A bad row's error names its line."""
     header = ("t", "subscriber", "thread", "kind", "parent")
     events = []
     for lineno, (t, subscriber, thread, kind, parent) in csv_rows(fileobj, header):
         try:
-            t_val = int(t)
-            parent_val = int(parent) if parent else None
-        except ValueError as exc:
+            events.append(PostingEvent(
+                int(t), subscriber, thread, kind, int(parent) if parent else None
+            ))
+        except (ValueError, InputError) as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-        events.append(PostingEvent(t_val, subscriber, thread, kind, parent_val))
     return events
-
-
-def _resolve_parent(event, earlier_by_t):
-    """The one earlier event of the thread at ``event.parent``;
-    ``earlier_by_t`` maps t to the thread's events seen so far."""
-    matches = earlier_by_t.get(event.parent, ())
-    if not matches:
-        raise UnknownParent(
-            f"event t={event.t} references t={event.parent}, which has no "
-            f"earlier match in thread {event.thread!r}"
-        )
-    if len(matches) > 1:
-        raise InputError(
-            f"thread {event.thread!r} has multiple events at t={event.parent}"
-        )
-    return matches[0]
 
 
 def validate_protocol(events) -> ThreadLedger:
@@ -122,64 +109,82 @@ def validate_protocol(events) -> ThreadLedger:
     subscriber, repeat initiations of a thread) are flagged and never
     counted; following yourself up or referencing a missing parent is an
     error.
+
+    One pass over the events sorted by t resolves each parent as the one
+    earlier event of its thread at that t and keeps every event's state
+    by its position in that order.
     """
-    events = sorted(events, key=lambda e: e.t)
-    by_thread = {}  # thread -> {t: [events seen so far]}
-    first_initiate = {}
-    duplicate_initiations = set()
-    parents = {}  # followup/ack event -> resolved parent event
-    for event in events:
-        seen = by_thread.setdefault(event.thread, {})
-        if event.kind == "initiate":
-            if event.thread in first_initiate:
-                duplicate_initiations.add(event)
-            else:
-                first_initiate[event.thread] = event
-        else:
-            parent = _resolve_parent(event, seen)
-            parents[event] = parent
-            if event.kind == "followup":
-                if parent.subscriber == event.subscriber:
-                    raise SelfFollowup(
-                        f"{event.subscriber!r} followed up their own post "
-                        f"(t={parent.t}) in thread {event.thread!r}"
-                    )
-                if parent.kind == "ack":
-                    raise InputError(
-                        f"followup t={event.t} references an acknowledgment"
-                    )
-        seen.setdefault(event.t, []).append(event)
-
-    followups_of = {}
-    for event, parent in parents.items():
-        if event.kind == "followup":
-            followups_of.setdefault(parent, []).append(event)
-
+    events = sorted(events, key=itemgetter(0))
+    n = len(events)
+    answered = [False] * n  # somebody followed the event up (read for initiations)
+    acked = [False] * n  # a followup with a valid acknowledgment
+    duplicate = [False] * n  # a repeat initiation of its thread
+    replied_to = [None] * n  # the author a followup answers
+    at = {}  # thread -> {t: position, or -1 once the thread has two events at t}
+    shared = {}  # (thread, t) -> positions, for each t a thread has two events at
     flags = {}
-    valid_ack_of = {}  # followup -> first valid ack
-    for event, parent in parents.items():
-        if event.kind != "ack":
-            continue
-        if parent.kind != "followup":
-            flags[event] = "ack-of-non-followup"
-            continue
-        replied_to = parents[parent]
-        if event.subscriber != replied_to.subscriber:
-            flags[event] = "ack-by-non-recipient"
-            continue
-        valid_ack_of.setdefault(parent, event)
+    for i, event in enumerate(events):
+        t, sub, thread, kind, ref = event
+        seen = at.get(thread)
+        if seen is None:
+            seen = at[thread] = {}
+        if kind == "initiate":
+            # a thread's first event is an initiation (any other kind has
+            # no parent to find), so an earlier event makes this a repeat
+            duplicate[i] = bool(seen)
+        else:
+            p = seen.get(ref)
+            if p is None:
+                raise UnknownParent(
+                    f"event t={t} references t={ref}, which has no "
+                    f"earlier match in thread {thread!r}"
+                )
+            if p < 0:
+                raise InputError(f"thread {thread!r} has multiple events at t={ref}")
+            _, p_sub, _, p_kind, _ = events[p]
+            if kind == "followup":
+                if p_sub == sub:
+                    raise SelfFollowup(
+                        f"{sub!r} followed up their own post "
+                        f"(t={ref}) in thread {thread!r}"
+                    )
+                if p_kind == "ack":
+                    raise InputError(f"followup t={t} references an acknowledgment")
+                answered[p] = True
+                replied_to[i] = p_sub
+            elif p_kind != "followup":
+                flags[event] = "ack-of-non-followup"
+            elif sub != replied_to[p]:
+                flags[event] = "ack-by-non-recipient"
+            else:
+                acked[p] = True
+        j = seen.setdefault(t, i)
+        if j != i:
+            seen[t] = -1
+            shared.setdefault((thread, t), [j] if j >= 0 else []).append(i)
+    for positions in shared.values():
+        # flags key events by value, so identical events share one state
+        copies = {}
+        for i in positions:
+            copies.setdefault(events[i], []).append(i)
+        for same in copies.values():
+            for state in (answered, acked, duplicate):
+                value = any(state[i] for i in same)
+                for i in same:
+                    state[i] = value
 
     counted = []
-    for event in events:
-        if event.kind == "initiate":
-            if event in duplicate_initiations:
+    for i, event in enumerate(events):
+        kind = event.kind
+        if kind == "initiate":
+            if duplicate[i]:
                 flags[event] = "duplicate-initiation"
-            elif followups_of.get(event):
+            elif answered[i]:
                 counted.append(event)
             else:
                 flags[event] = "unanswered-initiation"
-        elif event.kind == "followup":
-            if event in valid_ack_of:
+        elif kind == "followup":
+            if acked[i]:
                 counted.append(event)
             else:
                 flags[event] = "unacknowledged-followup"
@@ -201,17 +206,21 @@ def extract_prefs(ledger: ThreadLedger, thread_map, interests=None) -> dict:
     universe = check_interest_names(universe)
     labels = universe + [APATHY]
     prefs = {}
+    order_of = {}  # top interest set -> its two-ply order
     for sub in ledger.subscribers():
         top = set()
         for thread in ledger.counted_threads(sub):
             if thread not in thread_map:
                 raise UnmappedThread(f"thread {thread!r} is not mapped to an interest")
             top.add(thread_map[thread])
-        rest = sorted(set(labels) - top)
-        if top:
-            prefs[sub] = make_order(labels, [sorted(top), rest])
-        else:
-            prefs[sub] = make_order(labels, [rest])
+        key = frozenset(top)
+        order = order_of.get(key)
+        if order is None:
+            rest = sorted(set(labels) - top)
+            order = order_of[key] = make_order(
+                labels, [sorted(top), rest] if top else [rest]
+            )
+        prefs[sub] = order
     return prefs
 
 
@@ -334,28 +343,39 @@ def group_topology(interests, mode: str = "subset-lattice") -> Digraph:
     return digraph(sorted(labels.values()), edges)
 
 
-def group_order(cross_activity: dict) -> Order:
-    """Most likely order over groups from per-subscriber visit tallies.
-
-    Each subscriber compares every group pair: more posts wins, equal
-    counts (zero included) tie. The comparisons feed the maximum
-    likelihood procedure and the top-ranked order is returned.
-    """
+def _group_tally(cross_activity: dict) -> ComparisonTally:
+    """Each subscriber's comparison of every group pair: more posts wins,
+    equal counts (zero included) tie. Subscribers with the same visit
+    counts make the same comparisons, so each distinct vector of counts
+    is compared once and weighs in by how many subscribers have it."""
     groups = set()
     for tallies in cross_activity.values():
         groups |= set(tallies)
     groups = sorted(groups)
     if not groups:
         raise InputError("no groups in the activity tallies")
-    comparisons = []
-    for sub in sorted(cross_activity):
-        tallies = cross_activity[sub]
-        for a, b in combinations(groups, 2):
-            na, nb = tallies.get(a, 0), tallies.get(b, 0)
-            outcome = ">" if na > nb else "<" if nb > na else "="
-            comparisons.append((a, b, outcome))
-    ranked = max_likelihood_order(tally(comparisons))
-    return ranked[0][0]
+    vectors = Counter(
+        tuple(tallies.get(g, 0) for g in groups) for tallies in cross_activity.values()
+    )
+    counts = {}
+    for (i, a), (j, b) in combinations(enumerate(groups), 2):
+        s_ab = s_ba = t_ab = 0
+        for vector, m in vectors.items():
+            if vector[i] > vector[j]:
+                s_ab += m
+            elif vector[j] > vector[i]:
+                s_ba += m
+            else:
+                t_ab += m
+        counts[(a, b)] = (s_ab, s_ba, t_ab)
+    return ComparisonTally(counts)
+
+
+def group_order(cross_activity: dict) -> Order:
+    """Most likely order over groups from per-subscriber visit tallies:
+    the comparisons of ``_group_tally`` feed the maximum likelihood
+    procedure and the top-ranked order is returned."""
+    return max_likelihood_order(_group_tally(cross_activity))[0][0]
 
 
 def _topology_neighbors(topology: Digraph, label):

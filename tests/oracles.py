@@ -6,7 +6,10 @@ reachability test for circuit-freeness of sub-bigraphs, the pass test of
 one selection for the simulator's fused sweep, the compatibility entropy in
 40-digit decimals with one term per compatible pair, and two projector
 solves of the Cesàro limit of a Markov chain, one over the rationals and
-one by least squares, for the stationary distribution.
+one by least squares, for the stationary distribution. For the newsgroup
+scenario: the posting protocol over dicts keyed by event, one two-ply
+order built per subscriber, and group comparisons recorded one per
+subscriber and group pair.
 """
 
 from collections import Counter
@@ -15,6 +18,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from preflattice.core import make_order
+from preflattice.errors import InputError, SelfFollowup, UnknownParent, UnmappedThread
+from preflattice.mlorder import max_likelihood_order, tally
+from preflattice.selforg import APATHY, check_interest_names
 
 
 def count_hamiltonian_paths(g) -> int:
@@ -182,3 +190,115 @@ def cesaro_lstsq(f):
     u, *_ = np.linalg.lstsq((a @ a).T, x0 @ a, rcond=None)
     y = np.maximum(x0 - u @ a, 0.0)
     return [float(v) for v in y / y.sum()]
+
+
+def dict_keyed_protocol(events):
+    """(events, counted, flags) of the posting protocol, each parent
+    resolved through a per-thread {t: events seen so far} map and every
+    state kept in dicts and sets keyed by event."""
+    events = sorted(events, key=lambda e: e.t)
+    by_thread = {}  # thread -> {t: [events seen so far]}
+    first_initiate = {}
+    duplicate_initiations = set()
+    parents = {}  # followup/ack event -> resolved parent event
+    for event in events:
+        seen = by_thread.setdefault(event.thread, {})
+        if event.kind == "initiate":
+            if event.thread in first_initiate:
+                duplicate_initiations.add(event)
+            else:
+                first_initiate[event.thread] = event
+        else:
+            matches = seen.get(event.parent, ())
+            if not matches:
+                raise UnknownParent(
+                    f"event t={event.t} references t={event.parent}, which has no "
+                    f"earlier match in thread {event.thread!r}"
+                )
+            if len(matches) > 1:
+                raise InputError(
+                    f"thread {event.thread!r} has multiple events at t={event.parent}"
+                )
+            parent = parents[event] = matches[0]
+            if event.kind == "followup":
+                if parent.subscriber == event.subscriber:
+                    raise SelfFollowup(
+                        f"{event.subscriber!r} followed up their own post "
+                        f"(t={parent.t}) in thread {event.thread!r}"
+                    )
+                if parent.kind == "ack":
+                    raise InputError(
+                        f"followup t={event.t} references an acknowledgment"
+                    )
+        seen.setdefault(event.t, []).append(event)
+
+    followups_of = {}
+    for event, parent in parents.items():
+        if event.kind == "followup":
+            followups_of.setdefault(parent, []).append(event)
+
+    flags = {}
+    valid_ack_of = {}  # followup -> first valid ack
+    for event, parent in parents.items():
+        if event.kind != "ack":
+            continue
+        if parent.kind != "followup":
+            flags[event] = "ack-of-non-followup"
+            continue
+        replied_to = parents[parent]
+        if event.subscriber != replied_to.subscriber:
+            flags[event] = "ack-by-non-recipient"
+            continue
+        valid_ack_of.setdefault(parent, event)
+
+    counted = []
+    for event in events:
+        if event.kind == "initiate":
+            if event in duplicate_initiations:
+                flags[event] = "duplicate-initiation"
+            elif followups_of.get(event):
+                counted.append(event)
+            else:
+                flags[event] = "unanswered-initiation"
+        elif event.kind == "followup":
+            if event in valid_ack_of:
+                counted.append(event)
+            else:
+                flags[event] = "unacknowledged-followup"
+    return tuple(events), tuple(counted), flags
+
+
+def per_subscriber_prefs(ledger, thread_map, interests=None) -> dict:
+    """One two-ply order built per subscriber: counted interests on top,
+    every other interest and the apathy element below."""
+    universe = set(thread_map.values()) | set(interests or ())
+    labels = check_interest_names(universe) + [APATHY]
+    prefs = {}
+    for sub in ledger.subscribers():
+        top = set()
+        for thread in ledger.counted_threads(sub):
+            if thread not in thread_map:
+                raise UnmappedThread(f"thread {thread!r} is not mapped to an interest")
+            top.add(thread_map[thread])
+        rest = sorted(set(labels) - top)
+        prefs[sub] = make_order(labels, [sorted(top), rest] if top else [rest])
+    return prefs
+
+
+def per_subscriber_group_tally(cross_activity):
+    """One comparison record per subscriber and group pair (more posts
+    wins, equal counts tie), accumulated by ``tally``."""
+    groups = sorted({g for tallies in cross_activity.values() for g in tallies})
+    comparisons = []
+    for sub in sorted(cross_activity):
+        tallies = cross_activity[sub]
+        for a, b in combinations(groups, 2):
+            na, nb = tallies.get(a, 0), tallies.get(b, 0)
+            comparisons.append((a, b, ">" if na > nb else "<" if nb > na else "="))
+    return tally(comparisons)
+
+
+def per_subscriber_group_order(cross_activity):
+    """The top order of the maximum likelihood procedure on
+    ``per_subscriber_group_tally``."""
+    return max_likelihood_order(per_subscriber_group_tally(cross_activity))[0][0]

@@ -474,6 +474,18 @@ def test_scenario_newsgroup_rejects_bad_input(tmp_path, capsys, interests, extra
     assert json.loads(err)["error"] == "InputError"
 
 
+def test_scenario_newsgroup_names_the_bad_event_line(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text(SCENARIO_EVENTS + "8,bob,m1,shout,1\n", encoding="utf-8")
+    path = write_json(tmp_path / "interests.json", {"threads": SCENARIO_THREADS})
+    rc, out, err = run_cli(["scenario-newsgroup", str(events), "--interests", path], capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "InputError",
+        "message": "line 9: event kind 'shout' not in ('initiate', 'followup', 'ack')",
+    }
+
+
 def test_console_script_smoke(tmp_path):
     # Build the console script that an install would generate from
     # [project.scripts], so the command under test is this tree's entry

@@ -486,6 +486,30 @@ def test_compatible_pairs_and_entropy_match_bucket_method(field_spec):
     assert value == pytest.approx(bucket_compatibility_entropy(fieldstate), rel=1e-9)
 
 
+@settings(max_examples=100, deadline=None)
+@given(FIELDS)
+def test_variety_table_and_snapshot_ranks(field_spec):
+    n, agents = field_spec
+    cfg = small_cfg(n_features=n, traits_per_feature=6,
+                    topology={"kind": "mobian-circle", "agents": max(3, len(agents)), "turn": 1})
+    agents = agents + agents[:1] * (max(3, len(agents)) - len(agents))
+    fieldstate = Field(cfg, build_topology(cfg.topology), [list(a) for a in agents])
+    table = variety_table(fieldstate)
+    counts = Counter(",".join(map(str, a)) for a in agents)
+    assert [(row.identity, row.count) for row in table] == sorted(
+        counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    traits = {row.identity: list(map(int, row.identity.split(","))) for row in table}
+    for row in table:
+        assert row.compatible_with == tuple(
+            other.order for other in table
+            if other is not row and similarity(traits[row.identity], traits[other.identity]) > 0
+        )
+    rank_of = {row.identity: row.order for row in table}
+    assert [r[4] for r in snapshot(fieldstate)] == [
+        rank_of[",".join(map(str, a))] for a in agents
+    ]
+
+
 @pytest.mark.parametrize("n_agents", [60, 150])
 def test_compatible_pairs_match_bucket_method_on_wide_fields(n_agents):
     rng = random.Random(n_agents)

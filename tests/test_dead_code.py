@@ -87,9 +87,9 @@ def test_library_imports_no_numpy_and_declares_no_dependency():
 def _defaulted_params():
     """(call name, label, parameter, positional index or None) for every
     defaulted parameter of a library function. A method is called by its
-    own name and a class by its name, which calls ``__init__``; a method's
-    positional index does not count ``self``. Keyword-only parameters
-    have no index."""
+    own name and a class by its name, which calls ``__init__`` or
+    ``__new__``; a method's positional index does not count ``self`` or
+    ``cls``. Keyword-only parameters have no index."""
     params = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -99,7 +99,7 @@ def _defaulted_params():
             if not isinstance(node, ast.FunctionDef):
                 continue
             cls = owner.get(id(node))
-            name = cls if node.name == "__init__" else node.name
+            name = cls if node.name in ("__init__", "__new__") else node.name
             label = f"{cls}.{node.name}" if cls else node.name
             args = node.args
             positional = args.posonlyargs + args.args

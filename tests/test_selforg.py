@@ -20,6 +20,7 @@ from preflattice.selforg import (
     KINDS,
     GroupAssignment,
     PostingEvent,
+    _group_tally,
     derive_precedents,
     elect_managers,
     extract_prefs,
@@ -29,6 +30,13 @@ from preflattice.selforg import (
     read_postings_csv,
     referral_check,
     validate_protocol,
+)
+
+from oracles import (
+    dict_keyed_protocol,
+    per_subscriber_group_order,
+    per_subscriber_group_tally,
+    per_subscriber_prefs,
 )
 
 E = PostingEvent
@@ -58,6 +66,16 @@ def test_posting_event_validation():
         E(t=1, subscriber="s", thread="m", kind="initiate", parent=0)
     with pytest.raises(InputError):
         E(t=2, subscriber="s", thread="m", kind="followup")
+
+
+def test_posting_event_is_a_tuple_of_its_fields():
+    event = E(t=2, subscriber="s", thread="m", kind="followup", parent=1)
+    assert event == E(2, "s", "m", "followup", 1) == (2, "s", "m", "followup", 1)
+    assert hash(event) == hash((2, "s", "m", "followup", 1))
+    assert E(1, "s", "m", "initiate").parent is None
+    assert (event.t, event.subscriber, event.thread, event.kind) == (2, "s", "m", "followup")
+    with pytest.raises(AttributeError):
+        event.t = 3
 
 
 def test_ledger_counts_and_flags():
@@ -192,6 +210,76 @@ def protocol_events(draw):
     return draw(st.permutations(events))
 
 
+@st.composite
+def broken_protocol_events(draw):
+    """Protocol events plus one to three events added at drawn times,
+    each aimed at an earlier event: a followup or ack of it (of an ack
+    or by its own author at times, so followups of acks and
+    self-followups occur), a reference to a t its thread may lack, or a
+    second event at its (thread, t), either another initiation or an
+    exact copy."""
+    events = list(draw(protocol_events()))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        target = draw(st.sampled_from(events))
+        sub = draw(st.sampled_from(SUBSCRIBERS))
+        how = draw(st.sampled_from(("reply", "answer-ack", "missing", "same-t", "copy")))
+        if how == "answer-ack":
+            target = draw(st.sampled_from([e for e in events if e.kind == "ack"] or events))
+            how = "reply"
+        if how == "reply":
+            if draw(st.booleans()):
+                sub = target.subscriber
+            event = E(t=target.t + draw(st.integers(min_value=0, max_value=2)),
+                      subscriber=sub, thread=target.thread,
+                      kind=draw(st.sampled_from(("followup", "ack"))), parent=target.t)
+        elif how == "missing":
+            event = E(t=target.t, subscriber=sub, thread=draw(st.sampled_from(THREADS)),
+                      kind=draw(st.sampled_from(("followup", "ack"))),
+                      parent=target.t + draw(st.integers(min_value=-1, max_value=1)))
+        elif how == "same-t":
+            event = E(t=target.t, subscriber=sub, thread=target.thread, kind="initiate")
+        else:
+            # of the thread's last event, which nothing else references, and
+            # a reply at its t, so input order decides which copies it sees
+            target = max((e for e in events if e.thread == target.thread), key=lambda e: e.t)
+            event = target
+            events.append(E(t=target.t, subscriber=sub, thread=target.thread,
+                            kind=draw(st.sampled_from(("followup", "ack"))), parent=target.t))
+        events.append(event)
+    return draw(st.permutations(events))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(protocol_events(), broken_protocol_events()))
+def test_ledger_matches_dict_keyed_oracle(events):
+    try:
+        expected = dict_keyed_protocol(events)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            validate_protocol(events)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    ledger = validate_protocol(events)
+    assert (ledger.events, ledger.counted) == expected[:2]
+    assert list(ledger.flags.items()) == list(expected[2].items())
+
+
+def test_identical_events_share_their_state():
+    # the copy of m1's initiation makes both copies repeats, although a
+    # followup at the same t answered the first before the copy arrived
+    first = E(t=1, subscriber="alice", thread="m1", kind="initiate")
+    reply = E(t=1, subscriber="bob", thread="m1", kind="followup", parent=1)
+    ledger = validate_protocol([first, reply, first])
+    assert ledger.counted == ()
+    assert ledger.flags == {first: "duplicate-initiation", reply: "unacknowledged-followup"}
+    # a copied followup counts along with the acknowledged original
+    reply = E(t=2, subscriber="carol", thread="m1", kind="followup", parent=1)
+    ack = E(t=2, subscriber="alice", thread="m1", kind="ack", parent=2)
+    ledger = validate_protocol([first, reply, ack, reply])
+    assert ledger.counted == (first, reply, reply)
+    assert ledger.flags == {}
+
+
 def list_scan_protocol(events):
     """The protocol with each parent found by scanning the thread's
     earlier events; the oracle for validate_protocol's (thread, t) map."""
@@ -284,6 +372,19 @@ def test_read_postings_csv_header_after_blank_lines():
         ))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("2,b,m1,shout,1", "line 3: event kind 'shout' not in ('initiate', 'followup', 'ack')"),
+    ("2,b,m1,initiate,1", "line 3: initiations do not reference a parent"),
+    ("2,b,m1,ack,", "line 3: ack events need a parent reference"),
+])
+def test_read_postings_csv_errors_name_the_line(row, message):
+    text = f"1,alice,m1,initiate,\n\n{row}\n"
+    with pytest.raises(InputError) as info:
+        read_postings_csv(io.StringIO(text))
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+
+
 def test_extract_prefs_two_ply():
     ledger = validate_protocol(base_events())
     prefs = extract_prefs(ledger, THREAD_MAP)
@@ -297,6 +398,17 @@ def test_extract_prefs_unmapped_thread():
     ledger = validate_protocol(base_events())
     with pytest.raises(UnmappedThread):
         extract_prefs(ledger, {"m1": "a"})
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol_events(), st.lists(st.sampled_from("abcd"), min_size=3, max_size=3),
+       st.one_of(st.none(), st.lists(st.sampled_from("abcdef"), unique=True)))
+def test_extract_prefs_matches_per_subscriber_orders(events, targets, extra):
+    ledger = validate_protocol(events)
+    thread_map = dict(zip(THREADS, targets))
+    interests = None if extra is None else sorted(set(targets) | set(extra))
+    assert extract_prefs(ledger, thread_map, interests) == per_subscriber_prefs(
+        ledger, thread_map, interests)
 
 
 def test_partition_and_entry_group():
@@ -352,6 +464,30 @@ def test_group_order_from_cross_activity():
     assert str(order).startswith("a>")
     with pytest.raises(InputError):
         group_order({})
+
+
+ACTIVITY = st.dictionaries(
+    st.sampled_from([f"s{i}" for i in range(12)]),
+    st.dictionaries(st.sampled_from("abcde"), st.integers(min_value=0, max_value=3)),
+    min_size=1,
+).filter(lambda activity: len({g for t in activity.values() for g in t}) >= 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ACTIVITY)
+def test_group_order_matches_per_subscriber_records(activity):
+    assert _group_tally(activity).counts == per_subscriber_group_tally(activity).counts
+    assert group_order(activity) == per_subscriber_group_order(activity)
+
+
+@pytest.mark.parametrize("activity", [
+    {"solo": {"a": 2, "b": 0, "c": 1}},
+    {"x": {"a": 0, "b": 0}, "y": {"a": 0, "b": 0}, "z": {}},
+    {"x": {"a": 1}, "y": {"b": 2}, "z": {}},
+], ids=["one-subscriber", "all-zero", "missing-groups"])
+def test_group_order_edge_cases(activity):
+    assert _group_tally(activity).counts == per_subscriber_group_tally(activity).counts
+    assert group_order(activity) == per_subscriber_group_order(activity)
 
 
 def test_referral_check_rules():
