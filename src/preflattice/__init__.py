@@ -6,6 +6,7 @@ from .aggregate import (
     aggregate_reach,
     borda_scores,
     classify_cycles,
+    common_indifferences,
     condense,
     position_counts,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "borda_scores",
     "classify_cycles",
     "classify_epochs",
+    "common_indifferences",
     "condense",
     "count_weak_orders",
     "derive_precedents",

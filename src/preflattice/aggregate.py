@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .core import LabeledMatrix, Profile
+from .core import LabeledMatrix, Profile, strict_counts
 from .errors import InputError, WeakOrderUnsupported
 from .graphalg import (
     digraph,
@@ -63,27 +64,59 @@ class CondensedGraph:
     overlaps: tuple  # of (members, reason) for structures left unmerged
 
 
+def _indifference_blocks(policies, c):
+    """Policies every voter ties, as blocks of sorted members in order of
+    first appearance in the policy list. Ties of every voter are an
+    equivalence, so a block is the class of its first policy: the j with
+    c[i][j] = c[j][i] = 0."""
+    blocks = []
+    placed = set()
+    for i, p in enumerate(policies):
+        if p not in placed:
+            block = tuple(sorted(
+                v for j, v in enumerate(policies) if c[i][j] == c[j][i] == 0
+            ))
+            placed.update(block)
+            blocks.append(block)
+    return blocks
+
+
 def common_indifferences(profile: Profile) -> frozenset:
     """Unordered pairs indifferent for every voter."""
-    common = None
-    for order in profile.orders():
-        pairs = set()
-        for group in order.groups:
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    pairs.add(frozenset((u, v)))
-        common = pairs if common is None else common & pairs
-    return frozenset(common)
+    blocks = _indifference_blocks(profile.policies, strict_counts(profile))
+    return frozenset(frozenset(pair) for b in blocks for pair in combinations(b, 2))
 
 
-def _unanimity_pairs(q: LabeledMatrix):
-    labs = q.labels
-    return frozenset(
-        (u, v)
-        for u in labs
-        for v in labs
-        if u != v and q.entry(u, v) >= 1 and q.entry(v, u) == 0
-    )
+def _unanimous(agg: AggregateReach):
+    """Unanimity as a boolean table on label indices: u is unanimously
+    above v when some voter ranks u above v and none ranks v above u."""
+    rows = agg.q.rows
+    return [[x >= 1 and rows[j][i] == 0 for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def _majority(agg: AggregateReach):
+    """Majority as a boolean table on label indices: u beats v when more
+    than half the voters rank u above v, so an exact tie gives no direction."""
+    return [[2 * x > agg.n_voters for x in row] for row in agg.q.rows]
+
+
+def _lift(relation, blocks):
+    """Index pairs (i, j) of distinct blocks, row-major, such that every
+    member of block i has the relation to every member of block j."""
+    pairs = []
+    for i, a in enumerate(blocks):
+        # the labels every member of block a relates to
+        common = [all(col) for col in zip(*(relation[x] for x in a))]
+        pairs += [(i, j) for j, b in enumerate(blocks)
+                  if i != j and all(map(common.__getitem__, b))]
+    return pairs
+
+
+def _label_pairs(agg: AggregateReach, relation):
+    """The relation's pairs of vertex labels, row-major."""
+    labs = agg.q.labels
+    return [(labs[i], labs[j]) for i, j in _lift(relation, [(x,) for x in range(len(labs))])]
 
 
 def _classify_unanimity_components(labels, unanimities):
@@ -124,30 +157,26 @@ def aggregate_reach(profile: Profile):
     """Aggregate count matrix plus the unanimity report.
 
     Commonly-indifferent policies are merged into single vertices first:
-    the weak components of the common-indifference pairs, in order of
-    first appearance in the policy list, labelled by their sorted members
+    the classes of the policies every voter ties, in order of first
+    appearance in the policy list, labelled by their sorted members
     joined with '='. q_uv then counts the voters ranking u's block
-    strictly above v's.
+    strictly above v's, read off the strict-preference counts at one
+    member of each block (every voter ties the others with it).
     A pair is unanimous when its against-count is zero and its for-count
     positive; a source has an all-zero column (nobody is ranked above it
     by any voter) and a sink an all-zero row.
     """
-    pairs = map(tuple, common_indifferences(profile))
-    blocks = weak_components(digraph(profile.policies, pairs))
+    c = strict_counts(profile)
+    blocks = _indifference_blocks(profile.policies, c)
     labels = tuple("=".join(b) for b in blocks)
-    reps = [b[0] for b in blocks]
+    pos = {p: i for i, p in enumerate(profile.policies)}
+    reps = [pos[b[0]] for b in blocks]
+    counts = [[c[i][j] for j in reps] for i in reps]
     k = len(blocks)
-    counts = [[0] * k for _ in range(k)]
-    for order in profile.orders():
-        rank = order.ranks()
-        for i in range(k):
-            for j in range(k):
-                if i != j and rank[reps[i]] < rank[reps[j]]:
-                    counts[i][j] += 1
     q = LabeledMatrix(labels, tuple(tuple(r) for r in counts))
     agg = AggregateReach(q=q, n_voters=profile.n_voters, blocks=tuple(blocks))
 
-    unan = _unanimity_pairs(q)
+    unan = frozenset(_label_pairs(agg, _unanimous(agg)))
     classification, _ = _classify_unanimity_components(labels, unan)
     sources = tuple(
         labels[j] for j in range(k) if all(counts[i][j] == 0 for i in range(k))
@@ -174,20 +203,12 @@ def aggregate_reach(profile: Profile):
 def majority_digraph(agg: AggregateReach):
     """Edge u -> v iff q_uv strictly exceeds half the voters, so exact ties
     produce no edge."""
-    thr = Fraction(agg.n_voters, 2)
-    labs = agg.q.labels
-    edges = [
-        (u, v)
-        for u in labs
-        for v in labs
-        if u != v and agg.q.entry(u, v) > thr
-    ]
-    return digraph(labs, edges)
+    return digraph(agg.q.labels, _label_pairs(agg, _majority(agg)))
 
 
-def classify_cycles(agg: AggregateReach) -> list:
-    """CycleInfo per strongly-connected component (size >= 2) of the
-    majority digraph.
+def _cycles(g, unanimous):
+    """CycleInfo per strongly-connected component (size >= 2) of a
+    majority digraph, given the unanimous pairs over its vertices.
 
     A cycle spanning every vertex is complete. Otherwise it is dominated
     when some outside vertex is unanimously above all members, dominating
@@ -195,21 +216,13 @@ def classify_cycles(agg: AggregateReach) -> list:
     when neither witness exists. A cycle that is both dominated and
     dominating is tagged dominated; both witness lists are reported.
     """
-    g = majority_digraph(agg)
-    unan = _unanimity_pairs(agg.q)
-    labs = agg.q.labels
     cycles = []
     for comp in strongly_connected_components(g):
         if len(comp) < 2:
             continue
-        members = set(comp)
-        outside = [u for u in labs if u not in members]
-        dominators = tuple(
-            d for d in outside if all((d, u) in unan for u in comp)
-        )
-        dominees = tuple(
-            d for d in outside if all((u, d) in unan for u in comp)
-        )
+        outside = [d for d in g.vertices if d not in comp]
+        dominators = tuple(d for d in outside if all((d, u) in unanimous for u in comp))
+        dominees = tuple(d for d in outside if all((u, d) in unanimous for u in comp))
         if not outside:
             kind = "complete"
         elif dominators:
@@ -218,42 +231,34 @@ def classify_cycles(agg: AggregateReach) -> list:
             kind = "dominating"
         else:
             kind = "plain"
-        cycles.append(
-            CycleInfo(members=tuple(comp), kind=kind, dominators=dominators, dominees=dominees)
-        )
+        cycles.append(CycleInfo(members=comp, kind=kind, dominators=dominators, dominees=dominees))
     return cycles
 
 
-def _lift_unanimous(agg, block_a, block_b):
-    return all(
-        agg.q.entry(a, b) >= 1 and agg.q.entry(b, a) == 0
-        for a in block_a
-        for b in block_b
-    )
-
-
-def _lift_majority(agg, thr, block_a, block_b):
-    return all(agg.q.entry(a, b) > thr for a in block_a for b in block_b)
+def classify_cycles(agg: AggregateReach) -> list:
+    """The cycles of the majority digraph over single vertices; see _cycles."""
+    return _cycles(majority_digraph(agg), set(_label_pairs(agg, _unanimous(agg))))
 
 
 def condense(agg: AggregateReach) -> CondensedGraph:
     """Merge condensable structures into super-vertices until fixpoint.
 
-    Each round first merges dominated and dominating majority cycles
-    (complete cycles stay), then merges simple and compound-simple
-    unanimity components. Cycle-produced super-vertices never take part
-    in later unanimity merges, and complex unanimity components are never
-    merged; both situations are reported in ``overlaps`` when they block
-    a merge. All lifts are universal: a block-level relation holds only
-    when every cross pair of original vertices has it. Majority means more
-    than half the voters, as in majority_digraph.
+    Each round merges the first dominated or dominating majority cycle
+    (complete cycles stay) or, when there is none, the first simple or
+    compound-simple unanimity component. Cycle-produced super-vertices
+    never take part in later unanimity merges, and complex unanimity
+    components are never merged; both situations are reported once each
+    in ``overlaps`` when they block a merge. All lifts are universal: a
+    block-level relation holds only when every cross pair of original
+    vertices has it. Majority means more than half the voters, as in
+    majority_digraph.
     """
-    thr = Fraction(agg.n_voters, 2)
     labs = agg.q.labels
-    partition = [frozenset((u,)) for u in labs]
-    rules = {frozenset((u,)): "singleton" for u in labs}
+    unanimous, majority = _unanimous(agg), _majority(agg)
+    partition = [frozenset((i,)) for i in range(len(labs))]  # of label indices
+    rules = {b: "singleton" for b in partition}
     frozen = set()
-    overlaps = []
+    overlaps = {}  # (members, reason) -> None, in order of first report
 
     def merge(blocks_to_join, rule):
         nonlocal partition
@@ -267,80 +272,47 @@ def condense(agg: AggregateReach) -> CondensedGraph:
 
     changed = True
     while changed:
-        changed = False
-
-        # majority cycles over current blocks
-        names = {b: min(b) for b in partition}
-        block_g = digraph(
-            [names[b] for b in partition],
-            [
-                (names[a], names[b])
-                for a in partition
-                for b in partition
-                if a != b and _lift_majority(agg, thr, a, b)
-            ],
+        # the block graphs of this round; a block is named by its least label
+        names = [min(labs[x] for x in b) for b in partition]
+        by_name = dict(zip(names, partition))
+        majority_pairs = _lift(majority, partition)
+        unan_pairs = {(names[i], names[j]) for i, j in _lift(unanimous, partition)}
+        block_g = digraph(names, [(names[i], names[j]) for i, j in majority_pairs])
+        cycle = next(
+            (c for c in _cycles(block_g, unan_pairs) if c.kind in ("dominated", "dominating")),
+            None,
         )
-        by_name = {names[b]: b for b in partition}
-        for comp in strongly_connected_components(block_g):
-            if len(comp) < 2:
-                continue
-            comp_blocks = [by_name[n] for n in comp]
-            if len(comp_blocks) == len(partition):
-                continue  # complete cycles are never condensed
-            outside = [b for b in partition if b not in comp_blocks]
-            dominated = any(
-                all(_lift_unanimous(agg, d, m) for m in comp_blocks) for d in outside
-            )
-            dominating = any(
-                all(_lift_unanimous(agg, m, d) for m in comp_blocks) for d in outside
-            )
-            if dominated or dominating:
-                rule = "dominated-cycle" if dominated else "dominating-cycle"
-                frozen.add(merge(comp_blocks, rule))
-                changed = True
-                break  # partition changed; rebuild the block graph
-        if changed:
+        if cycle:
+            frozen.add(merge([by_name[n] for n in cycle.members], f"{cycle.kind}-cycle"))
             continue
 
-        # unanimity components over current blocks
-        names = {b: min(b) for b in partition}
-        by_name = {names[b]: b for b in partition}
-        unan_edges = [
-            (names[a], names[b])
-            for a in partition
-            for b in partition
-            if a != b and _lift_unanimous(agg, a, b)
-        ]
-        classification, comp_of = _classify_unanimity_components(
-            tuple(names[b] for b in partition), frozenset(unan_edges)
-        )
+        changed = False
+        _, comp_of = _classify_unanimity_components(names, unan_pairs)
         handled = set()
-        for name, (members, cls) in comp_of.items():
+        for members, cls in comp_of.values():
             if members in handled:
                 continue
             handled.add(members)
             comp_blocks = [by_name[n] for n in members]
-            blocked = [b for b in comp_blocks if b in frozen]
-            flat = tuple(sorted(x for b in comp_blocks for x in b))
-            if cls == "complex":
-                if blocked:
-                    overlaps.append((flat, "complex-unanimity-overlaps-cycle"))
-                continue
-            if blocked:
-                overlaps.append((flat, "unanimity-blocked-by-cycle-block"))
-                continue
-            merge(comp_blocks, f"{cls}-unanimity")
-            changed = True
-            break
-        # loop again on any change; otherwise fall through with fixpoint
+            if any(b in frozen for b in comp_blocks):
+                flat = tuple(sorted(labs[x] for b in comp_blocks for x in b))
+                reason = ("complex-unanimity-overlaps-cycle" if cls == "complex"
+                          else "unanimity-blocked-by-cycle-block")
+                overlaps[(flat, reason)] = None
+            elif cls != "complex":
+                merge(comp_blocks, f"{cls}-unanimity")
+                changed = True
+                break
 
-    # expand block labels to original policies and build the edge set
-    label_members = dict(zip(agg.q.labels, agg.blocks))
+    # blocks in order of their least label, expanded to original policies;
+    # sorting the re-indexed pairs lists the edges row-major
+    order = sorted(range(len(partition)), key=names.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
     final_blocks = []
     final_rules = []
-    for b in sorted(partition, key=lambda b: min(b)):
-        originals = tuple(sorted(x for lab in b for x in label_members[lab]))
-        rule = rules[b]
+    for i in order:
+        originals = tuple(sorted(x for lab in partition[i] for x in agg.blocks[lab]))
+        rule = rules[partition[i]]
         if rule == "singleton" and len(originals) > 1:
             rule = "merged-indifference"
         final_blocks.append(originals)
@@ -348,17 +320,10 @@ def condense(agg: AggregateReach) -> CondensedGraph:
     mapping = {
         orig: i for i, blk in enumerate(final_blocks) for orig in blk
     }
-    ordered_partition = sorted(partition, key=lambda b: min(b))
-    edges = frozenset(
-        (i, j)
-        for i, a in enumerate(ordered_partition)
-        for j, b in enumerate(ordered_partition)
-        if i != j and _lift_majority(agg, thr, a, b)
-    )
     return CondensedGraph(
         blocks=tuple(final_blocks),
         rules=tuple(final_rules),
-        edges=edges,
+        edges=frozenset(sorted((rank[i], rank[j]) for i, j in majority_pairs)),
         mapping=mapping,
         overlaps=tuple(overlaps),
     )

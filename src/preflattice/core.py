@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -121,6 +122,29 @@ class Profile:
 
     def orders(self):
         return [order for _, order in self.voters]
+
+
+def strict_counts(profile: Profile) -> list[list[int]]:
+    """c[i][j] = number of voters ranking policy i strictly above policy j,
+    over ``profile.policies``. Each distinct ballot is walked once from
+    its bottom group, weighted by how many voters cast it.
+
+    Every pairwise rule reads these counts: i and j are tied by every voter
+    when c[i][j] = c[j][i] = 0, and the mean preference matrix is
+    (n - c[j][i]) / n.
+    """
+    pos = {p: i for i, p in enumerate(profile.policies)}
+    c = [[0] * len(pos) for _ in pos]
+    for order, count in Counter(profile.orders()).items():
+        below = []  # positions of the policies under the current group
+        for group in reversed(order.groups):
+            members = [pos[p] for p in group]
+            for i in members:
+                row = c[i]
+                for j in below:
+                    row[j] += count
+            below += members
+    return c
 
 
 def profile_from_dict(data) -> Profile:

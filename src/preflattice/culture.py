@@ -687,9 +687,6 @@ def run_replicates(cfg: CultureConfig, replicates: int, observer=None):
     ]
 
 
-EPOCHS = ("anarchy", "collectivism", "oligarchy", "authoritarianism")
-
-
 def _smooth(values):
     """Mean over each value and its neighbors, two at the ends."""
     out = []

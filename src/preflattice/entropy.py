@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import LabeledMatrix, Order, Profile, preference_matrix, transition_matrix
+from .core import LabeledMatrix, Order, Profile, strict_counts, transition_matrix
 from .errors import CapExceeded, NonConvergence, NotADistribution
 from .graphalg import digraph, strongly_connected_components
 
@@ -110,27 +110,15 @@ def matrix_entropy(m: LabeledMatrix) -> EntropyValue:
     return EntropyValue(math.log(lam) / math.log(b), b, radius=lam)
 
 
-def _mean_matrix(profile: Profile, matrix_of) -> LabeledMatrix:
-    """Exact mean over the voters of matrix_of(order), aligned to the
-    profile's policy order: each distinct ballot is summed once, weighted
-    by its count, and the total is divided by the voter count once."""
-    labels = profile.policies
-    pos = {lab: i for i, lab in enumerate(labels)}
-    acc = [[0] * len(labels) for _ in labels]
-    for order, count in Counter(profile.orders()).items():
-        m = matrix_of(order)
-        for a, row in zip(m.labels, m.rows):
-            target = acc[pos[a]]
-            for b, x in zip(m.labels, row):
-                if x:
-                    target[pos[b]] += count * x
-    share = Fraction(1, profile.n_voters)
-    return LabeledMatrix(labels, tuple(tuple(x * share for x in row) for row in acc))
-
-
 def mean_preference_matrix(profile: Profile) -> LabeledMatrix:
-    """F = (1/n) sum of the voters' preference matrices, exact."""
-    return _mean_matrix(profile, preference_matrix)
+    """F = (1/n) sum of the voters' preference matrices, exact: a voter
+    puts a 1 at (i, j) unless they rank j strictly above i, so
+    F[i][j] = (n - c[j][i]) / n with c the strict-preference counts."""
+    n = profile.n_voters
+    columns = zip(*strict_counts(profile))
+    return LabeledMatrix(profile.policies, tuple(
+        tuple(Fraction(n - x, n) for x in col) for col in columns
+    ))
 
 
 def topological_entropy(profile: Profile) -> EntropyValue:
@@ -144,8 +132,21 @@ def topological_entropy(profile: Profile) -> EntropyValue:
 
 def markov_aggregate(profile: Profile, mode: str = "climb-one-rung") -> LabeledMatrix:
     """Arithmetic mean of the voters' transition matrices, exact and
-    row-stochastic."""
-    return _mean_matrix(profile, lambda order: transition_matrix(order, mode))
+    row-stochastic, aligned to the profile's policy order: each distinct
+    ballot is summed once, weighted by its count, and the total is divided
+    by the voter count once."""
+    labels = profile.policies
+    pos = {lab: i for i, lab in enumerate(labels)}
+    acc = [[0] * len(labels) for _ in labels]
+    for order, count in Counter(profile.orders()).items():
+        m = transition_matrix(order, mode)
+        for a, row in zip(m.labels, m.rows):
+            target = acc[pos[a]]
+            for b, x in zip(m.labels, row):
+                if x:
+                    target[pos[b]] += count * x
+    share = Fraction(1, profile.n_voters)
+    return LabeledMatrix(labels, tuple(tuple(x * share for x in row) for row in acc))
 
 
 def _bareiss_solve(a, b):

@@ -374,8 +374,13 @@ def _group_tally(cross_activity: dict) -> ComparisonTally:
 def group_order(cross_activity: dict) -> Order:
     """Most likely order over groups from per-subscriber visit tallies:
     the comparisons of ``_group_tally`` feed the maximum likelihood
-    procedure and the top-ranked order is returned."""
-    return max_likelihood_order(_group_tally(cross_activity))[0][0]
+    procedure and the top-ranked order is returned. A single group has no
+    pair to compare and one order."""
+    ranked = max_likelihood_order(_group_tally(cross_activity))
+    if ranked:
+        return ranked[0][0]
+    (group,) = {g for tallies in cross_activity.values() for g in tallies}
+    return Order(((group,),))
 
 
 def _topology_neighbors(topology: Digraph, label):

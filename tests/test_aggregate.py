@@ -13,8 +13,17 @@ from preflattice.aggregate import (
     majority_digraph,
     position_counts,
 )
-from preflattice.core import profile_from_dict
+from preflattice.core import preference_matrix, profile_from_dict, strict_counts
+from preflattice.entropy import mean_preference_matrix
 from preflattice.errors import WeakOrderUnsupported
+
+from oracles import (
+    label_classify_cycles,
+    label_condense,
+    mean_matrix_by_ballot,
+    pairwise_common_indifferences,
+    per_voter_aggregate_reach,
+)
 
 
 def test_reach_counts_borda4(borda4):
@@ -151,6 +160,22 @@ def test_condense_leaves_complete_cycle(paradox):
     assert cg.rules == ("singleton",) * 3
     # the majority circle survives at the block level
     assert cg.edges == frozenset({(0, 1), (1, 2), (2, 0)})
+
+
+def test_condense_reports_each_blocked_component_once():
+    # d, a, b, c: the cycle a > b > c > a sits unanimously under d and
+    # merges first; d and the merged block stay a unanimity component that
+    # the cycle block blocks on every later round
+    p = profile_from_dict({
+        "policies": list("abcdef"),
+        "voters": [{"id": f"v{i}", "ranking": [[x] for x in r]}
+                   for i, r in enumerate(["efdabc", "dbcaef", "dcabef"])],
+    })
+    agg, _ = aggregate_reach(p)
+    cg = condense(agg)
+    assert cg.blocks == (("a", "b", "c"), ("d",), ("e", "f"))
+    assert cg.rules == ("dominated-cycle", "singleton", "simple-unanimity")
+    assert cg.overlaps == ((("a", "b", "c", "d"), "unanimity-blocked-by-cycle-block"),)
 
 
 def test_borda_scores(borda4, borda3):
@@ -296,3 +321,60 @@ def test_blocks_are_indifference_components_in_policy_order(profile):
     blocks = _indifference_blocks(profile)
     assert agg.blocks == tuple(blocks)
     assert agg.q.labels == tuple("=".join(b) for b in blocks)
+
+
+@st.composite
+def ballot_profiles(draw):
+    """1-7 policies in shuffled order; a few distinct ballots with ties,
+    some cut short so the profile completes them into one bottom group,
+    each cast by one to three voters. Pinning one policy to the top or the
+    bottom of every ballot makes dominated and dominating cycles common."""
+    labels = "abcdefg"[:draw(st.integers(1, 7))]
+    pin = draw(st.sampled_from([None, "top", "bottom"]))
+    voters = []
+    for _ in range(draw(st.integers(1, 6))):
+        perm = list(draw(st.permutations(labels)))
+        if pin:
+            perm.remove(labels[0])
+            perm = [labels[0], *perm] if pin == "top" else [*perm, labels[0]]
+        groups = []
+        for label in perm:
+            if groups and draw(st.integers(0, 4)) == 0:
+                groups[-1].append(label)
+            else:
+                groups.append([label])
+        if draw(st.integers(0, 3)) == 0:
+            groups = groups[:draw(st.integers(0, len(groups)))]
+        for _ in range(draw(st.integers(1, 3))):
+            voters.append({"id": f"v{len(voters)}", "ranking": groups})
+    return profile_from_dict({"policies": draw(st.permutations(labels)), "voters": voters})
+
+
+@settings(max_examples=200, deadline=None)
+@given(ballot_profiles())
+def test_counts_and_indifferences_match_per_voter_oracles(profile):
+    c = strict_counts(profile)
+    ranks = [order.ranks() for order in profile.orders()]
+    for i, u in enumerate(profile.policies):
+        for j, v in enumerate(profile.policies):
+            assert c[i][j] == sum(r[u] < r[v] for r in ranks)
+    assert common_indifferences(profile) == pairwise_common_indifferences(profile)
+    f = mean_preference_matrix(profile)
+    oracle = mean_matrix_by_ballot(profile, preference_matrix)
+    assert f.labels == oracle.labels
+    assert f.rows == oracle.rows
+    assert all(type(x) is Fraction for row in f.rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ballot_profiles())
+def test_aggregation_matches_label_keyed_oracles(profile):
+    agg, report = aggregate_reach(profile)
+    oracle_agg, oracle_report = per_voter_aggregate_reach(profile)
+    assert agg == oracle_agg
+    assert report == oracle_report
+    assert classify_cycles(agg) == label_classify_cycles(agg)
+    cg, oracle = condense(agg), label_condense(agg)
+    assert (cg.blocks, cg.rules, cg.mapping) == (oracle.blocks, oracle.rules, oracle.mapping)
+    assert list(cg.edges) == list(oracle.edges)
+    assert cg.overlaps == tuple(dict.fromkeys(oracle.overlaps))

@@ -1,7 +1,7 @@
-"""Every top-level function and class in the library has a library caller
-or is exported, every defaulted parameter is set by some call, every
-layer function the benchmark traces exists, and the library runs on the
-standard library alone.
+"""Every top-level function, class and assigned name in the library has a
+library reader or is exported, every defaulted parameter is set by some
+call, every layer function the benchmark traces exists, and the library
+runs on the standard library alone.
 
 A helper only tests call belongs in the tests (``oracles.py`` holds the
 reference implementations); one nobody calls belongs nowhere. A default
@@ -23,7 +23,7 @@ def _names(node):
     """Names a statement loads, imports or reads as attributes."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
@@ -32,8 +32,24 @@ def _names(node):
     return names
 
 
+def _assigned(stmt):
+    """Names a top-level assignment binds, dunder names such as
+    ``__all__`` and ``__version__`` left out: the interpreter and tools
+    read those."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [
+        sub.id for target in targets for sub in ast.walk(target)
+        if isinstance(sub, ast.Name) and not (sub.id.startswith("__") and sub.id.endswith("__"))
+    ]
+
+
 def test_every_library_name_has_a_library_caller_or_an_export():
-    defined = []  # (module, name) of each top-level function and class
+    defined = []  # (module, name) of each top-level function, class and assigned name
     uses = []  # (module, name of the enclosing definition or None, names used)
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -41,6 +57,7 @@ def test_every_library_name_has_a_library_caller_or_an_export():
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 owner = stmt.name
                 defined.append((path.stem, owner))
+            defined += [(path.stem, name) for name in _assigned(stmt)]
             uses.append((path.stem, owner, _names(stmt)))
     # a definition's own body does not count as its caller
     dead = [

@@ -19,7 +19,7 @@ from preflattice.entropy import (
 from preflattice.errors import NotADistribution
 
 import worked_example as wx
-from oracles import cesaro_exact, cesaro_lstsq
+from oracles import cesaro_exact, cesaro_absorbing
 
 
 def one_voter(policies, groups):
@@ -110,7 +110,7 @@ def test_stationary_float_rows_are_divided_by_their_exact_sums():
     rows = ((0.1, 0.2, 0.7), (0.5, 0.5, 0.0), (0.0, 0.25, 0.75))
     y = stationary_distribution(LabeledMatrix(("a", "b", "c"), rows)).distribution
     assert sum(y) == 1
-    assert [float(x) for x in y] == pytest.approx(cesaro_lstsq(rows), rel=1e-12)
+    assert [float(x) for x in y] == pytest.approx(cesaro_absorbing(rows), rel=1e-12)
 
 
 def test_stationary_rejects_bad_rows():
@@ -225,7 +225,7 @@ def test_stationary_matches_rational_projector_up_to_12(m):
                  layered_profile(min_k=13, max_k=40).map(markov_aggregate)))
 def test_stationary_matches_least_squares_from_13_to_40(m):
     y = stationary_distribution(m).distribution
-    assert [float(x) for x in y] == pytest.approx(cesaro_lstsq(m.rows), rel=1e-12)
+    assert [float(x) for x in y] == pytest.approx(cesaro_absorbing(m.rows), rel=1e-12)
 
 
 def oracle_spectral_radius(rows):

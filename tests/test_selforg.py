@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preflattice.core import Order
 from preflattice.errors import (
     EmptyGroup,
     InputError,
@@ -464,6 +465,11 @@ def test_group_order_from_cross_activity():
     assert str(order).startswith("a>")
     with pytest.raises(InputError):
         group_order({})
+
+
+def test_group_order_on_one_group_is_that_group():
+    assert group_order({"s": {"a": 0}}) == Order((("a",),))
+    assert group_order({"s": {"a": 3}, "t": {}}) == Order((("a",),))
 
 
 ACTIVITY = st.dictionaries(
