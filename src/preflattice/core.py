@@ -193,23 +193,28 @@ def csv_rows(fileobj, header):
     Every row must have one cell per header name; a row equal to the
     header is skipped when it is the first non-blank row. A row's line
     number is the physical line its record starts on, so blank lines and
-    quoted cells holding newlines count too.
+    quoted cells holding newlines count too. A record the csv module
+    refuses (a field over ``csv.field_size_limit()``) is an error on the
+    line it starts on.
     """
     first = True
     reader = csv.reader(fileobj)
     start = 1  # the physical line the next record starts on
-    for row in reader:
-        lineno, start = start, reader.line_num + 1
-        cells = tuple(map(str.strip, row))
-        if not any(cells):
-            continue
-        if len(cells) != len(header):
-            raise InputError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
-        if first:
-            first = False
-            if cells == header:
+    try:
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            cells = tuple(map(str.strip, row))
+            if not any(cells):
                 continue
-        yield lineno, cells
+            if len(cells) != len(header):
+                raise InputError(f"line {lineno}: expected {len(header)} columns, got {len(cells)}")
+            if first:
+                first = False
+                if cells == header:
+                    continue
+            yield lineno, cells
+    except csv.Error as exc:
+        raise InputError(f"line {start}: {exc}") from None
 
 
 def is_str_list(value) -> bool:

@@ -9,12 +9,14 @@ grant logs.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, repeat
+from operator import eq, itemgetter, not_
 
 from .core import Order, csv_rows, make_order
 from .errors import (
@@ -32,6 +34,9 @@ from .mlorder import ComparisonTally, max_likelihood_order
 KINDS = ("initiate", "followup", "ack")
 APATHY = "∅"
 ENTRY = "entry"
+# characters of whole lines the posting-log reader splits at once;
+# splitting the whole text at once holds every cell of the log together
+_BLOCK = 1 << 16
 
 
 class PostingEvent(namedtuple("PostingEvent", "t subscriber thread kind parent")):
@@ -85,10 +90,64 @@ class ThreadLedger:
 def read_postings_csv(fileobj):
     """Rows ``t,subscriber,thread,kind,parent`` (parent empty for
     initiations); a header row with those names is skipped when it is
-    the first non-blank row. A bad row's error names its line."""
-    header = ("t", "subscriber", "thread", "kind", "parent")
+    the first non-blank row. A bad row's error names its line.
+
+    A plain log, one valid event per line and nothing to unquote, is
+    parsed a block of lines at a time; any other log is read row by row,
+    which is also what names a bad row's line."""
+    text = fileobj.read()
+    events = _postings_by_block(text)
+    return _postings_by_row(text) if events is None else events
+
+
+def _postings_by_block(text):
+    """The events of a plain log, or None unless every row of the text,
+    after an optional exact header line, holds five cells that make a
+    valid event. Cells are stripped as the row reader strips them, and
+    the events share one str per distinct name."""
+    header = ",".join(PostingEvent._fields) + "\n"
+    if '"' in text or "\r" in text:
+        return None
+    pos = len(header) if text.startswith(header) else 0
+    end = len(text) - text.endswith("\n")
+    name = {}.setdefault
     events = []
-    for lineno, (t, subscriber, thread, kind, parent) in csv_rows(fileobj, header):
+    while pos < end:
+        stop = text.find("\n", pos + _BLOCK, end)
+        if stop < 0:
+            stop = end
+        block = text[pos:stop]
+        pos = stop + 1
+        rows = block.split("\n")
+        # a block over the field limit may hold a field the row reader refuses
+        if len(block) > csv.field_size_limit() or set(map(str.count, rows, repeat(","))) != {4}:
+            return None
+        cells = list(map(str.strip, block.replace("\n", ",").split(",")))
+        kinds, parents = cells[3::5], cells[4::5]
+        # the checks PostingEvent makes, so its tuple is built directly
+        if not set(kinds).issubset(KINDS):
+            return None
+        if list(map(eq, kinds, repeat("initiate"))) != list(map(not_, parents)):
+            return None
+        try:
+            ts = list(map(int, cells[0::5]))
+            refs = [int(p) if p else None for p in parents]
+        except ValueError:
+            return None
+        subs, threads = cells[1::5], cells[2::5]
+        events += map(tuple.__new__, repeat(PostingEvent), zip(
+            ts, map(name, subs, subs), map(name, threads, threads),
+            map(name, kinds, kinds), refs,
+        ))
+    return events
+
+
+def _postings_by_row(text):
+    """The events of any log, read through ``csv_rows``; the oracle of
+    the block parse."""
+    events = []
+    rows = csv_rows(io.StringIO(text, newline=""), PostingEvent._fields)
+    for lineno, (t, subscriber, thread, kind, parent) in rows:
         try:
             events.append(PostingEvent(
                 int(t), subscriber, thread, kind, int(parent) if parent else None

@@ -127,7 +127,14 @@ enumerate_cases = st.builds(
               st.just(list("abcdefgh"))),
 )
 
-CSV_CELL = st.one_of(st.sampled_from(["1", "2", ">", "<", "=", "", "x"]), st.text(max_size=2))
+BARE_CELL = st.one_of(st.sampled_from(["1", "2", ">", "<", "=", "", "x"]), st.text(max_size=2))
+# padded and quoted cells too: a plain posting log is parsed in blocks, any
+# other log row by row, and the fuzz should reach both
+CSV_CELL = st.one_of(
+    BARE_CELL,
+    st.tuples(st.sampled_from([" ", "\t", "\xa0"]), BARE_CELL).map("".join),
+    BARE_CELL.map(lambda c: '"' + c.replace('"', '""') + '"'),
+)
 
 
 @st.composite
@@ -283,6 +290,7 @@ def k_case(k):
 
 COMPARISONS = "i,j,outcome\n1,2,>\n"
 WIDE = [f"p{i}" for i in range(101)]
+BIG_FIELD = '"' + "x" * 140_000 + '"'
 
 PINNED = [
     (BIG_COUNT, 3),
@@ -318,6 +326,11 @@ PINNED = [
     (case("mlorder", "c.csv", "--mode", "all-weak", **{"c.csv": "a=b,a,>\na,b,<\n"}), 2),
     # a comma in a label would make two pairs print the same "a,b,c" key
     (case("mlorder", "c.csv", **{"c.csv": '"a,b",c,>\na,"b,c",<\na,c,=\n'}), 2),
+    # a field over csv.field_size_limit() exits 2 rather than with a traceback
+    (case("mlorder", "c.csv", **{"c.csv": COMPARISONS + f"{BIG_FIELD},2,>\n"}), 2),
+    (case("scenario-newsgroup", "e.csv", "--interests", "i.json", **{
+        "e.csv": EVENTS + f"4,{BIG_FIELD},m1,initiate,\n",
+        "i.json": json.dumps({"threads": {"m1": "a"}})}), 2),
 ]
 
 

@@ -1,10 +1,12 @@
 import io
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from preflattice import selforg
 from preflattice.core import Order
 from preflattice.errors import (
     EmptyGroup,
@@ -384,6 +386,128 @@ def test_read_postings_csv_errors_name_the_line(row, message):
         read_postings_csv(io.StringIO(text))
     assert type(info.value) is InputError
     assert str(info.value) == message
+
+
+def read_outcome(read, text):
+    """The events a reader returns, or the type and message of its error."""
+    try:
+        return read(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def read_file(text):
+    return read_postings_csv(io.StringIO(text, newline=""))
+
+
+HEADER = "t,subscriber,thread,kind,parent"
+PAD = st.sampled_from(["", " ", "\t", "\xa0", "\u2003"])
+
+
+@st.composite
+def posting_cells(draw):
+    """The five cells of a valid event row, each padded or not."""
+    kind = draw(st.sampled_from(KINDS))
+    parent = "" if kind == "initiate" else str(draw(st.integers(1, 30)))
+    values = [str(draw(st.integers(1, 30))), draw(st.sampled_from(["u1", "u2", "u 3"])),
+              draw(st.sampled_from(["m1", "m2"])), kind, parent]
+    return [draw(PAD) + v + draw(PAD) for v in values]
+
+
+# rows that send a log to the row reader, which skips or refuses them
+ODD_ROWS = [
+    "", ",,,,", " ,\t, , ,\xa0",  # blank rows, skipped
+    HEADER, f" {HEADER.replace(',', ' , ')} ",  # a header, skipped only as the first non-blank row
+    "1,u1,m1,initiate\n2,u2,m1,followup,1,x",  # 4 cells, then 6: ten cells over two rows
+    "1,u1,m1,initiate\n,2,u2,m1,initiate,",  # 4 cells, then 6 that realign the ten
+    "x,u1,m1,initiate,", "1.5,u1,m1,initiate,", "2,u1,m1,followup,y",  # bad t or parent
+    "1,u1,m1,shout,", "2,u1,m1,shout,1",  # bad kind
+    "1,u1,m1,initiate,3", "2,u1,m1,ack,",  # a parent on an initiation, none on a reply
+    f"{HEADER},",  # a header with six cells
+    "1,u1,m1,initiate,,",  # six cells
+    "1,u1,m1\r,initiate,",  # a lone CR ends a csv row
+]
+
+
+@st.composite
+def posting_logs(draw):
+    """(text, plain): a posting log, and whether it is plain. A plain log
+    has valid, possibly padded rows, ends each line with LF and starts
+    with the exact header or none; any other log also draws odd rows,
+    CRLF line ends and quoted cells."""
+    plain = draw(st.booleans())
+    lines = []
+    for cells in draw(st.lists(posting_cells(), max_size=12)):
+        if not plain and draw(st.integers(0, 4)) == 0:
+            i = draw(st.integers(0, 4))
+            cells[i] = f'"{cells[i]}"'
+        lines.append(",".join(cells))
+    if not plain:
+        for row in draw(st.lists(st.sampled_from(ODD_ROWS), max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))), row)
+    if draw(st.booleans()):
+        lines.insert(0, HEADER)
+    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines)
+    # a lone header line without its newline is left to the row reader
+    if lines and (draw(st.booleans()) or lines == [HEADER]):
+        text += newline
+    return text, plain
+
+
+@settings(max_examples=400, deadline=None)
+@given(posting_logs(), st.sampled_from([1, 16, 1 << 16]))
+# empty logs, and a log for each reason the block parse refuses one
+@example(("", True), 1 << 16)
+@example((HEADER + "\n", True), 1 << 16)
+@example(("\n", False), 1 << 16)
+@example((HEADER, False), 1 << 16)
+@example((" 1 ,\tu1\xa0,m1,initiate,\u2003\n2,u1,m1,followup,1\n", True), 1 << 16)
+@example(('1,"u1",m1,initiate,\n2,u2,m1,followup,1\n', False), 1 << 16)
+@example(("1,u1,m1,initiate,\r\n2,u2,m1,followup,1\r\n", False), 1 << 16)
+@example(("1,u1,m1\r,initiate,\n", False), 1 << 16)
+@example(("1,u1,m1,initiate\n,2,u2,m1,initiate,\n", False), 1 << 16)
+@example(("1,u1,m1,initiate,\n2,u1,m1,shout,1\n", False), 1 << 16)
+@example(("1,u1,m1,initiate,3\n2,u2,m1,ack,\n", False), 1 << 16)
+@example((f"{HEADER},\n1,u1,m1,initiate,\n", False), 1 << 16)
+@example((f"1,u1,m1,initiate,\n2,{'u' * 140_000},m1,followup,1\n", False), 1 << 16)
+def test_block_parse_matches_row_by_row(log, block):
+    text, plain = log
+    expected = read_outcome(selforg._postings_by_row, text)
+    with patch.object(selforg, "_BLOCK", block):
+        events = selforg._postings_by_block(text)
+        assert read_outcome(read_file, text) == expected
+    if plain:
+        assert events is not None
+    if events is not None:
+        assert events == expected
+        # one str object per distinct name
+        names = [name for e in events for name in e[1:4]]
+        assert len(set(map(id, names))) == len(set(names))
+
+
+def test_block_parse_spans_blocks():
+    rows = [f"{t},u{t % 7},m{t % 3},initiate," for t in range(1, 8001)]
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    assert len(text) > 2 * selforg._BLOCK
+    events = selforg._postings_by_block(text)
+    assert events is not None and len(events) == 8000
+    assert events == selforg._postings_by_row(text)
+    # a bad row past the first block is refused by its line number
+    rows[5000] = "5001,u1,m1,shout,"
+    text = HEADER + "\n" + "\n".join(rows)
+    assert selforg._postings_by_block(text) is None
+    with pytest.raises(InputError, match="^line 5002: event kind 'shout'"):
+        read_file(text)
+
+
+def test_oversized_field_is_an_error_on_its_line():
+    big = "u" * 140_000
+    for text in (f'1,a,m1,initiate,\n\n2,"{big}",m1,followup,1\n',
+                 f"1,a,m1,initiate,\n2,u1,m1,initiate,\n2,{big},m1,followup,1\n"):
+        with pytest.raises(InputError) as info:
+            read_file(text)
+        assert str(info.value) == "line 3: field larger than field limit (131072)"
 
 
 def test_extract_prefs_two_ply():
