@@ -345,14 +345,16 @@ def cmd_scenario_newsgroup(args) -> int:
     prefs = extract_prefs(ledger, thread_map, interests)
     assignment = partition_subscribers(prefs, interests)
     managers = elect_managers(assignment, ledger, fraction=args.manager_fraction)
-    topo = group_topology(assignment.interests, args.topology_mode)
-
     cross = {
         sub: {interest: 0 for interest in assignment.interests}
         for sub in ledger.subscribers()
     }
     for event in ledger.counted:
         cross[event.subscriber][thread_map[event.thread]] += 1
+    # the order's candidate cap refuses many interests before the 2^n - 1
+    # groups are built; under two interests the topology's error comes first
+    order = group_order(cross) if len(set(assignment.interests)) > 1 else None
+    topo = group_topology(assignment.interests, args.topology_mode)
     uncounted = {}
     for flag in ledger.flags.values():
         uncounted[flag] = uncounted.get(flag, 0) + 1
@@ -361,7 +363,7 @@ def cmd_scenario_newsgroup(args) -> int:
         "uncounted": uncounted,
         "groups": {label: list(members) for label, members in assignment.groups.items()},
         "managers": {label: list(m) for label, m in managers.items()},
-        "group_order": str(group_order(cross)),
+        "group_order": str(order),
         "topology_edges": sorted([u, v] for u, v in topo.edges if u < v),
     }
     if args.grants:

@@ -254,14 +254,6 @@ class Bigraph:
                 raise InputError(f"pair {set(pair)!r} is in both C and D")
 
 
-def bigraph(vertices, d_edges=(), c_edges=()) -> Bigraph:
-    return Bigraph(
-        tuple(vertices),
-        frozenset((u, v) for u, v in d_edges),
-        frozenset(frozenset(p) for p in c_edges),
-    )
-
-
 @dataclass(frozen=True)
 class LabeledMatrix:
     """A square matrix with row/column labels; entries stay exact when possible."""

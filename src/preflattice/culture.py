@@ -16,9 +16,9 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import combinations
 
 from .errors import InputError, LengthMismatch, SeriesTooShort
+from .graphalg import subset_lattice
 
 BEHAVIORS = ("Egoistic", "PeerPossible")
 INIT_MODES = ("uniform", "dice-mix")
@@ -90,21 +90,15 @@ def subset_tree_topology(n_features: int) -> Topology:
     are its size and its position among the subsets of that size."""
     if n_features < 1:
         raise InputError("subset tree needs at least one feature")
-    levels = [list(combinations(range(n_features), k)) for k in range(1, n_features + 1)]
-    subsets = [frozenset(c) for level in levels for c in level]
-    index = {s: i for i, s in enumerate(subsets)}
-    neighbors = [[] for _ in subsets]
-    for s, i in index.items():
-        for extra in range(n_features):
-            if extra not in s:
-                t = s | {extra}
-                j = index[t]
-                neighbors[i].append(j)
-                neighbors[j].append(i)
+    masks = subset_lattice(n_features)
+    index = {m: i for i, m in enumerate(masks)}
+    first = {}  # size -> index of the first subset of that size
     return Topology(
         "subset-tree",
-        tuple(tuple(sorted(n)) for n in neighbors),
-        tuple((len(c), pos) for level in levels for pos, c in enumerate(level)),
+        tuple(tuple(sorted(index[m ^ 1 << e] for e in range(n_features) if m ^ 1 << e))
+              for m in masks),
+        tuple((m.bit_count(), i - first.setdefault(m.bit_count(), i))
+              for i, m in enumerate(masks)),
     )
 
 

@@ -1,7 +1,7 @@
 """Graph and poset algorithms shared by the analysis modules.
 
-Closures, Hamiltonian path enumeration, maximal circuit-free
-sub-bigraphs, strongly connected components, antichain/chain
+Closures, Hamiltonian path enumeration, the subset lattice, maximal
+circuit-free sub-bigraphs, strongly connected components, antichain/chain
 decomposition of posets, and take-grant connectivity.
 Everything here is desk-scale and exact; enumeration routines carry caps.
 """
@@ -9,8 +9,9 @@ Everything here is desk-scale and exact; enumeration routines carry caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
-from .core import Bigraph, Order, bigraph
+from .core import Bigraph, Order
 from .errors import (
     CapExceeded,
     CyclicRelation,
@@ -97,36 +98,16 @@ def hamiltonian_paths(g: Digraph):
 
 
 # ---------------------------------------------------------------------------
+# subsets: the lattice both subset topologies stand on
+
+def subset_lattice(n: int) -> list:
+    """The nonempty subsets of range(n) as bitmasks (bit e for element e),
+    in (size, sorted members) order; a subset's covers are m ^ 1 << e."""
+    return [sum(1 << e for e in c) for k in range(1, n + 1) for c in combinations(range(n), k)]
+
+
+# ---------------------------------------------------------------------------
 # bigraphs: maximal circuit-free sub-bigraphs
-
-def _mixed_adjacency(b: Bigraph):
-    """Directed view of C u D: C edges are traversable both ways."""
-    adj = {v: set() for v in b.vertices}
-    for u, v in b.d_edges:
-        adj[u].add(v)
-    for pair in b.c_edges:
-        u, v = tuple(pair)
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
-def completed_bigraph(b: Bigraph) -> tuple[Bigraph, frozenset]:
-    """Add filler C edges so every vertex pair is joined; returns the filled
-    bigraph and the set of filler pairs (they carry no preference data)."""
-    have = {frozenset((u, v)) for u, v in b.d_edges} | set(b.c_edges)
-    fillers = set()
-    verts = list(b.vertices)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            pair = frozenset((u, v))
-            if pair not in have:
-                fillers.add(pair)
-    return (
-        bigraph(b.vertices, b.d_edges, set(b.c_edges) | fillers),
-        frozenset(fillers),
-    )
-
 
 def _path_to_order(path, c_pairs) -> Order:
     """Collapse maximal runs of C steps along a path into tie-groups."""
@@ -149,19 +130,20 @@ def _compatible_subbigraph(b: Bigraph, order: Order) -> Bigraph:
 def maximal_circuit_free_subbigraphs(b: Bigraph):
     """Enumerate the maximal circuit-free sub-bigraphs of b.
 
-    Each corresponds to a Hamiltonian path of the completed bigraph (missing
-    pairs are filled with indifference edges for the traversal only). Paths
-    that induce the same weak order describe the same sub-bigraph, so the
-    result is deduplicated by order: a list of (sub-bigraph, order) pairs,
-    where the sub-bigraph keeps exactly the original edges compatible with
-    the order.
+    Each corresponds to a Hamiltonian path of the walk digraph: D edges
+    one way, and both ways between every pair D does not join (its C
+    pairs, and missing pairs filled in as indifference for the traversal
+    only). Paths that induce the same weak order describe the same
+    sub-bigraph, so the result is deduplicated by order: a list of
+    (sub-bigraph, order) pairs, where the sub-bigraph keeps exactly the
+    original edges compatible with the order.
     """
-    filled, _ = completed_bigraph(b)
-    adj = _mixed_adjacency(filled)
-    walk = digraph(filled.vertices, [(u, v) for u in adj for v in adj[u]])
+    d_pairs = {frozenset(e) for e in b.d_edges}
+    c_steps = [e for e in permutations(b.vertices, 2) if frozenset(e) not in d_pairs]
+    c_pairs = {frozenset(e) for e in c_steps}
     seen = {}
-    for p in hamiltonian_paths(walk):
-        order = _path_to_order(p, filled.c_edges)
+    for p in hamiltonian_paths(digraph(b.vertices, [*b.d_edges, *c_steps])):
+        order = _path_to_order(p, c_pairs)
         if order not in seen:
             seen[order] = _compatible_subbigraph(b, order)
     return [(sub, order) for order, sub in seen.items()]
@@ -248,9 +230,7 @@ def transitive_reduction(g: Digraph) -> Digraph:
     for u, v in closed.edges:
         if (v, u) in closed.edges:
             raise CyclicRelation("transitive reduction needs an acyclic digraph")
-    reach = {v: set() for v in g.vertices}
-    for u, v in closed.edges:
-        reach[u].add(v)
+    reach = _adjacency(closed)
     kept = set()
     for u, v in g.edges:
         if u == v:

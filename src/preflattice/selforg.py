@@ -28,7 +28,7 @@ from .errors import (
     UnknownParent,
     UnmappedThread,
 )
-from .graphalg import Digraph, digraph
+from .graphalg import Digraph, digraph, subset_lattice
 from .mlorder import ComparisonTally, max_likelihood_order
 
 KINDS = ("initiate", "followup", "ack")
@@ -377,28 +377,24 @@ def group_topology(interests, mode: str = "subset-lattice") -> Digraph:
     differing by exactly one interest (two, three and three neighbors).
     """
     names = check_interest_names(set(interests))
-    if len(names) < 2:
+    n = len(names)
+    if n < 2:
         raise InputError("need at least two interests")
-    subsets = [
-        frozenset(c)
-        for k in range(1, len(names) + 1)
-        for c in combinations(names, k)
-    ]
-    labels = {s: group_label(s) for s in subsets}
-    edges = set()
-    for a, b in combinations(subsets, 2):
-        small, big = (a, b) if len(a) <= len(b) else (b, a)
-        if not small < big:
-            continue
-        if mode == "subset-lattice":
-            joined = True
-        elif mode == "binary-tree":
-            joined = len(big) == len(small) + 1
-        else:
-            raise InputError(f"unknown topology mode {mode!r}")
-        if joined:
-            edges.add((labels[a], labels[b]))
-            edges.add((labels[b], labels[a]))
+    if mode not in ("subset-lattice", "binary-tree"):
+        raise InputError(f"unknown topology mode {mode!r}")
+    labels = {
+        m: group_label(names[e] for e in range(n) if m >> e & 1) for m in subset_lattice(n)
+    }
+    edges = []
+    for m, label in labels.items():
+        if mode == "binary-tree":  # the nonempty sets one interest smaller
+            below = [m ^ 1 << e for e in range(n) if m >> e & 1 and m != 1 << e]
+        else:  # every nonempty proper submask, stepping s -> (s - 1) & m
+            below, s = [], m
+            while s := s - 1 & m:
+                below.append(s)
+        for s in below:
+            edges += [(labels[s], label), (label, labels[s])]
     return digraph(sorted(labels.values()), edges)
 
 
@@ -442,16 +438,6 @@ def group_order(cross_activity: dict) -> Order:
     return Order(((group,),))
 
 
-def _topology_neighbors(topology: Digraph, label):
-    out = set()
-    for u, v in topology.edges:
-        if u == label:
-            out.add(v)
-        elif v == label:
-            out.add(u)
-    return out
-
-
 def referral_check(poster, target_group, topology: Digraph, assignment: GroupAssignment):
     """(allow, reason) for a poster trying to post into a group: allowed
     into the entry group, their own group, or any topology neighbor of a
@@ -465,7 +451,10 @@ def referral_check(poster, target_group, topology: Digraph, assignment: GroupAss
     member_groups = {ENTRY, assignment.primary[poster]}
     if target_group in member_groups:
         return True, "member of target group"
-    if member_groups & _topology_neighbors(topology, target_group):
+    if any(
+        (g, target_group) in topology.edges or (target_group, g) in topology.edges
+        for g in member_groups
+    ):
         return True, "member of an adjacent group"
     return False, "not a member of the target group or any adjacent group"
 

@@ -2,7 +2,9 @@
 
 Each one computes what a library path computes, by a different or more
 direct route: a subset-DP path count for the Hamiltonian enumeration, a
-reachability test for circuit-freeness of sub-bigraphs, the pass test of
+reachability test for circuit-freeness of sub-bigraphs, the sub-bigraphs
+found through the completed bigraph, the subset tree over frozensets and
+the group topology by testing every pair of interest sets, the pass test of
 one selection for the simulator's fused sweep, the compatibility entropy in
 40-digit decimals with one term per compatible pair, and the Cesàro limit
 of a Markov chain for the stationary distribution, by projector equations
@@ -30,11 +32,19 @@ from preflattice.aggregate import (
     UnanimityReport,
     _classify_unanimity_components,
 )
-from preflattice.core import LabeledMatrix, make_order
+from preflattice.core import Bigraph, LabeledMatrix, make_order
+from preflattice.culture import Topology
 from preflattice.errors import InputError, SelfFollowup, UnknownParent, UnmappedThread
-from preflattice.graphalg import digraph, strongly_connected_components, weak_components
+from preflattice.graphalg import (
+    _compatible_subbigraph,
+    _path_to_order,
+    digraph,
+    hamiltonian_paths,
+    strongly_connected_components,
+    weak_components,
+)
 from preflattice.mlorder import max_likelihood_order, tally
-from preflattice.selforg import APATHY, check_interest_names
+from preflattice.selforg import APATHY, check_interest_names, group_label
 
 
 def count_hamiltonian_paths(g) -> int:
@@ -79,6 +89,27 @@ def _mixed_reachable(adj, start, goal):
     return False
 
 
+def bigraph(vertices, d_edges=(), c_edges=()) -> Bigraph:
+    """A Bigraph from any iterables of D pairs and C pairs."""
+    return Bigraph(
+        tuple(vertices),
+        frozenset((u, v) for u, v in d_edges),
+        frozenset(frozenset(p) for p in c_edges),
+    )
+
+
+def _mixed_adjacency(b: Bigraph):
+    """Directed view of C u D: C edges are traversable both ways."""
+    adj = {v: set() for v in b.vertices}
+    for u, v in b.d_edges:
+        adj[u].add(v)
+    for pair in b.c_edges:
+        u, v = tuple(pair)
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def has_circuit(b) -> bool:
     """A circuit is a closed walk on distinct vertices using at least one
     directed edge, with C edges traversable in both directions.
@@ -87,14 +118,91 @@ def has_circuit(b) -> bool:
     graph: the return walk plus the edge closes a circuit, and any closed
     walk through a D edge contains such a configuration.
     """
-    adj = {v: set() for v in b.vertices}
-    for u, v in b.d_edges:
-        adj[u].add(v)
-    for pair in b.c_edges:
-        u, v = tuple(pair)
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _mixed_adjacency(b)
     return any(_mixed_reachable(adj, v, u) for u, v in b.d_edges)
+
+
+def completed_bigraph(b: Bigraph) -> tuple[Bigraph, frozenset]:
+    """Add filler C edges so every vertex pair is joined; returns the filled
+    bigraph and the set of filler pairs (they carry no preference data)."""
+    have = {frozenset((u, v)) for u, v in b.d_edges} | set(b.c_edges)
+    fillers = set()
+    verts = list(b.vertices)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            pair = frozenset((u, v))
+            if pair not in have:
+                fillers.add(pair)
+    return (
+        bigraph(b.vertices, b.d_edges, set(b.c_edges) | fillers),
+        frozenset(fillers),
+    )
+
+
+def completed_bigraph_subbigraphs(b: Bigraph):
+    """maximal_circuit_free_subbigraphs by way of the completed bigraph:
+    its mixed adjacency, turned into an edge list and a digraph."""
+    filled, _ = completed_bigraph(b)
+    adj = _mixed_adjacency(filled)
+    walk = digraph(filled.vertices, [(u, v) for u in adj for v in adj[u]])
+    seen = {}
+    for p in hamiltonian_paths(walk):
+        order = _path_to_order(p, filled.c_edges)
+        if order not in seen:
+            seen[order] = _compatible_subbigraph(b, order)
+    return [(sub, order) for order, sub in seen.items()]
+
+
+def frozenset_subset_tree_topology(n_features: int) -> Topology:
+    """subset_tree_topology over frozensets of features, one cover at a
+    time by adding each missing feature."""
+    if n_features < 1:
+        raise InputError("subset tree needs at least one feature")
+    levels = [list(combinations(range(n_features), k)) for k in range(1, n_features + 1)]
+    subsets = [frozenset(c) for level in levels for c in level]
+    index = {s: i for i, s in enumerate(subsets)}
+    neighbors = [[] for _ in subsets]
+    for s, i in index.items():
+        for extra in range(n_features):
+            if extra not in s:
+                t = s | {extra}
+                j = index[t]
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    return Topology(
+        "subset-tree",
+        tuple(tuple(sorted(n)) for n in neighbors),
+        tuple((len(c), pos) for level in levels for pos, c in enumerate(level)),
+    )
+
+
+def pairwise_group_topology(interests, mode: str = "subset-lattice"):
+    """group_topology by testing every pair of interest sets for strict
+    containment, the mode checked inside the loop."""
+    names = check_interest_names(set(interests))
+    if len(names) < 2:
+        raise InputError("need at least two interests")
+    subsets = [
+        frozenset(c)
+        for k in range(1, len(names) + 1)
+        for c in combinations(names, k)
+    ]
+    labels = {s: group_label(s) for s in subsets}
+    edges = set()
+    for a, b in combinations(subsets, 2):
+        small, big = (a, b) if len(a) <= len(b) else (b, a)
+        if not small < big:
+            continue
+        if mode == "subset-lattice":
+            joined = True
+        elif mode == "binary-tree":
+            joined = len(big) == len(small) + 1
+        else:
+            raise InputError(f"unknown topology mode {mode!r}")
+        if joined:
+            edges.add((labels[a], labels[b]))
+            edges.add((labels[b], labels[a]))
+    return digraph(sorted(labels.values()), edges)
 
 
 def similarity(x, y) -> int:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from preflattice import cli
 from preflattice.cli import main
 from worked_example import (
     BORDA4,
@@ -484,6 +485,46 @@ def test_scenario_newsgroup_names_the_bad_event_line(tmp_path, capsys):
         "error": "InputError",
         "message": "line 9: event kind 'shout' not in ('initiate', 'followup', 'ack')",
     }
+
+
+def test_scenario_newsgroup_refuses_many_interests_before_the_topology(
+    tmp_path, capsys, monkeypatch
+):
+    def no_topology(*_):
+        raise AssertionError("group_topology called before the candidate cap")
+
+    monkeypatch.setattr(cli, "group_topology", no_topology)
+    events = tmp_path / "events.csv"
+    events.write_text(SCENARIO_EVENTS, encoding="utf-8")
+    path = write_json(
+        tmp_path / "interests.json",
+        {"threads": SCENARIO_THREADS, "interests": list("abcdefg")},
+    )
+    rc, out, err = run_cli(["scenario-newsgroup", str(events), "--interests", path], capsys)
+    assert (rc, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": "candidate generation over 7 labels exceeds the cap of 6",
+    }
+
+
+ONE_INTEREST = {"m1": "a", "m2": "a", "m3": "a"}
+
+
+@pytest.mark.parametrize("log, interests", [
+    ("", {"threads": {}}),
+    ("", {"threads": {}, "interests": ["a"]}),
+    ("", {"threads": ONE_INTEREST}),
+    (SCENARIO_EVENTS, {"threads": ONE_INTEREST}),
+], ids=["no-events-none", "no-events-one-listed", "no-events-one-mapped", "one-mapped"])
+def test_scenario_newsgroup_needs_two_interests_first(tmp_path, capsys, log, interests):
+    # with no events the group order would fail too, on its empty tallies
+    events = tmp_path / "events.csv"
+    events.write_text(log or "t,subscriber,thread,kind,parent\n", encoding="utf-8")
+    path = write_json(tmp_path / "interests.json", interests)
+    rc, out, err = run_cli(["scenario-newsgroup", str(events), "--interests", path], capsys)
+    assert (rc, out) == (2, "")
+    assert err == '{"error": "InputError", "message": "need at least two interests"}\n'
 
 
 def test_console_script_smoke(tmp_path):

@@ -31,7 +31,12 @@ from preflattice.culture import (
 )
 from preflattice.errors import InputError, SeriesTooShort
 
-from oracles import compatibility_entropy_decimal, interaction_allowed, similarity
+from oracles import (
+    compatibility_entropy_decimal,
+    frozenset_subset_tree_topology,
+    interaction_allowed,
+    similarity,
+)
 
 
 def small_cfg(**overrides):
@@ -78,6 +83,11 @@ def test_subset_tree_topology_size():
     for i, nbrs in enumerate(t.neighbors):
         for j in nbrs:
             assert i in t.neighbors[j]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_subset_tree_topology_matches_the_frozenset_build(n):
+    assert subset_tree_topology(n) == frozenset_subset_tree_topology(n)
 
 
 def test_build_topology_validation():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preflattice.core import bigraph
 from preflattice.errors import (
     CapExceeded,
     CyclicRelation,
@@ -18,6 +17,7 @@ from preflattice.graphalg import (
     maximal_circuit_free_subbigraphs,
     poset,
     strongly_connected_components,
+    subset_lattice,
     tg_graph_from_dict,
     tg_connected,
     transitive_closure,
@@ -25,7 +25,7 @@ from preflattice.graphalg import (
 )
 
 import worked_example as wx
-from oracles import count_hamiltonian_paths, has_circuit
+from oracles import bigraph, completed_bigraph_subbigraphs, count_hamiltonian_paths, has_circuit
 from preflattice.mlorder import induced_bigraph, raw_estimates
 
 
@@ -152,6 +152,36 @@ def test_circuit_detection_mixed_edges():
     assert has_circuit(b)
     b2 = bigraph("abc", d_edges=[("a", "b"), ("b", "c")])
     assert not has_circuit(b2)
+
+
+@st.composite
+def bigraphs(draw):
+    """Up to 6 vertices; each pair left out, in C, or in D either way."""
+    verts = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    d_edges, c_edges = [], []
+    for u, v in combinations(verts, 2):
+        kind = draw(st.sampled_from(["none", "c", "uv", "vu"]))
+        if kind == "c":
+            c_edges.append((u, v))
+        elif kind != "none":
+            d_edges.append((u, v) if kind == "uv" else (v, u))
+    return bigraph(draw(st.permutations(verts)), d_edges, c_edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bigraphs())
+def test_subbigraphs_match_the_completed_bigraph_walk(b):
+    assert maximal_circuit_free_subbigraphs(b) == completed_bigraph_subbigraphs(b)
+
+
+def test_subset_lattice_order():
+    assert subset_lattice(1) == [0b1]
+    assert subset_lattice(3) == [0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+    for n in range(1, 8):
+        masks = subset_lattice(n)
+        assert sorted(masks) == list(range(1, 1 << n))
+        keys = [(m.bit_count(), [e for e in range(n) if m >> e & 1]) for m in masks]
+        assert keys == sorted(keys)
 
 
 def test_strongly_connected_components():

@@ -1,4 +1,5 @@
 import io
+import random
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -17,6 +18,7 @@ from preflattice.errors import (
     UnknownParent,
     UnmappedThread,
 )
+from preflattice.graphalg import digraph
 from preflattice.selforg import (
     APATHY,
     ENTRY,
@@ -37,6 +39,7 @@ from preflattice.selforg import (
 
 from oracles import (
     dict_keyed_protocol,
+    pairwise_group_topology,
     per_subscriber_group_order,
     per_subscriber_group_tally,
     per_subscriber_prefs,
@@ -579,6 +582,27 @@ def test_group_topology_lattice_and_tree():
         group_topology(["a"])
 
 
+@pytest.mark.parametrize("mode", ["subset-lattice", "binary-tree"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_group_topology_matches_the_pairwise_build(n, mode):
+    # names whose sorted order is not their order of creation, given
+    # shuffled and with some repeated
+    names = [f"g{k * 3 % 11}" for k in range(n)]
+    given_names = names + names[: n // 2]
+    random.Random(n).shuffle(given_names)
+    assert group_topology(given_names, mode) == pairwise_group_topology(given_names, mode)
+
+
+@pytest.mark.parametrize("build", [group_topology, pairwise_group_topology])
+def test_group_topology_checks_names_then_count_then_mode(build):
+    with pytest.raises(InputError, match="reserved"):
+        build(["entry"], mode="pyramid")
+    with pytest.raises(InputError, match="need at least two interests"):
+        build(["a", "a"], mode="pyramid")
+    with pytest.raises(InputError, match="unknown topology mode 'pyramid'"):
+        build(["a", "b"], mode="pyramid")
+
+
 def test_group_order_from_cross_activity():
     activity = {
         "alice": {"a": 5, "b": 1, "c": 0},
@@ -668,3 +692,16 @@ def test_precedents_accept_dict_records():
     assert ordering == (("C", "D"),)
     with pytest.raises(InputError):
         derive_precedents([{"accessor": "u1"}])
+
+
+@pytest.mark.parametrize("edges, allowed", [
+    ([("a", "a+b")], True),
+    ([("a+b", "a")], True),
+    ([], False),
+], ids=["member-to-target", "target-to-member", "no-edge"])
+def test_referral_check_reads_an_edge_either_way(edges, allowed):
+    topology = digraph(["a", "b", "a+b"], edges)
+    ledger = validate_protocol(base_events())
+    assignment = partition_subscribers(extract_prefs(ledger, {"m1": "a", "m2": "b", "m3": "b"}))
+    ok, _ = referral_check("alice", "a+b", topology, assignment)
+    assert ok is allowed
