@@ -13,12 +13,7 @@ from itertools import combinations
 
 from .core import LabeledMatrix, Profile, strict_counts
 from .errors import InputError, WeakOrderUnsupported
-from .graphalg import (
-    digraph,
-    strongly_connected_components,
-    transitive_reduction,
-    weak_components,
-)
+from .graphalg import digraph, strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -102,55 +97,48 @@ def _majority(agg: AggregateReach):
 
 
 def _lift(relation, blocks):
-    """Index pairs (i, j) of distinct blocks, row-major, such that every
-    member of block i has the relation to every member of block j."""
-    pairs = []
+    """The relation between distinct blocks as a boolean table: block i
+    relates to block j when every member of i relates to every member of j."""
+    table = []
     for i, a in enumerate(blocks):
         # the labels every member of block a relates to
         common = [all(col) for col in zip(*(relation[x] for x in a))]
-        pairs += [(i, j) for j, b in enumerate(blocks)
-                  if i != j and all(map(common.__getitem__, b))]
-    return pairs
+        table.append([i != j and all(map(common.__getitem__, b)) for j, b in enumerate(blocks)])
+    return table
 
 
-def _label_pairs(agg: AggregateReach, relation):
-    """The relation's pairs of vertex labels, row-major."""
-    labs = agg.q.labels
-    return [(labs[i], labs[j]) for i, j in _lift(relation, [(x,) for x in range(len(labs))])]
+def _label_pairs(labels, table):
+    """The pairs of labels a boolean table holds, row-major."""
+    return [(labels[i], labels[j]) for i, row in enumerate(table) for j, x in enumerate(row) if x]
 
 
-def _classify_unanimity_components(labels, unanimities):
-    """Class per unanimous pair, determined by the shape of its weak
-    component in the transitive reduction of the unanimity digraph:
-    one edge = simple, a single path = compound-simple, anything with
-    branching = complex. Closure pairs inherit their component's class.
+def _unanimity_components(rel):
+    """(members, class) for each weak component of two or more vertices of
+    a strict partial order given as a boolean table, in order of least
+    member, members ascending. The class reads the component's covers,
+    the pairs with nothing between them (its transitive reduction): one
+    cover is simple, covers with distinct heads and distinct tails (a
+    chain) compound-simple, anything that branches complex.
     """
-    g = digraph(labels, unanimities)
-    red = transitive_reduction(g)
-    classification = {}
-    comp_of = {}
-    for comp in weak_components(red):
-        if len(comp) < 2:
+    comp = list(range(len(rel)))  # each vertex's component, named by its least member
+    for i, row in enumerate(rel):
+        for j, x in enumerate(row):
+            if x and comp[i] != comp[j]:
+                keep, drop = sorted((comp[i], comp[j]))
+                comp = [keep if c == drop else c for c in comp]
+    components = []
+    for least in sorted(set(comp)):
+        members = tuple(v for v, c in enumerate(comp) if c == least)
+        if len(members) < 2:
             continue
-        members = set(comp)
-        red_edges = [(u, v) for u, v in red.edges if u in members]
-        if len(red_edges) == 1:
-            cls = "simple"
-        else:
-            out_deg = {}
-            in_deg = {}
-            for u, v in red_edges:
-                out_deg[u] = out_deg.get(u, 0) + 1
-                in_deg[v] = in_deg.get(v, 0) + 1
-            is_path = all(d <= 1 for d in out_deg.values()) and all(
-                d <= 1 for d in in_deg.values()
-            )
-            cls = "compound-simple" if is_path else "complex"
-        for u in comp:
-            comp_of[u] = (frozenset(members), cls)
-    for u, v in unanimities:
-        classification[(u, v)] = comp_of[u][1]
-    return classification, comp_of
+        covers = [(i, j) for i in members for j in members
+                  if rel[i][j] and not any(rel[i][w] and rel[w][j] for w in members)]
+        tails, heads = map(set, zip(*covers))
+        cls = ("simple" if len(covers) == 1
+               else "compound-simple" if len(tails) == len(heads) == len(covers)
+               else "complex")
+        components.append((members, cls))
+    return components
 
 
 def aggregate_reach(profile: Profile):
@@ -176,8 +164,10 @@ def aggregate_reach(profile: Profile):
     q = LabeledMatrix(labels, tuple(tuple(r) for r in counts))
     agg = AggregateReach(q=q, n_voters=profile.n_voters, blocks=tuple(blocks))
 
-    unan = frozenset(_label_pairs(agg, _unanimous(agg)))
-    classification, _ = _classify_unanimity_components(labels, unan)
+    table = _unanimous(agg)
+    unan = frozenset(_label_pairs(labels, table))
+    class_of = {labels[x]: cls for members, cls in _unanimity_components(table) for x in members}
+    classification = {(u, v): class_of[u] for u, v in unan}
     sources = tuple(
         labels[j] for j in range(k) if all(counts[i][j] == 0 for i in range(k))
     )
@@ -203,7 +193,7 @@ def aggregate_reach(profile: Profile):
 def majority_digraph(agg: AggregateReach):
     """Edge u -> v iff q_uv strictly exceeds half the voters, so exact ties
     produce no edge."""
-    return digraph(agg.q.labels, _label_pairs(agg, _majority(agg)))
+    return digraph(agg.q.labels, _label_pairs(agg.q.labels, _majority(agg)))
 
 
 def _cycles(g, unanimous):
@@ -237,7 +227,7 @@ def _cycles(g, unanimous):
 
 def classify_cycles(agg: AggregateReach) -> list:
     """The cycles of the majority digraph over single vertices; see _cycles."""
-    return _cycles(majority_digraph(agg), set(_label_pairs(agg, _unanimous(agg))))
+    return _cycles(majority_digraph(agg), set(_label_pairs(agg.q.labels, _unanimous(agg))))
 
 
 def condense(agg: AggregateReach) -> CondensedGraph:
@@ -275,9 +265,10 @@ def condense(agg: AggregateReach) -> CondensedGraph:
         # the block graphs of this round; a block is named by its least label
         names = [min(labs[x] for x in b) for b in partition]
         by_name = dict(zip(names, partition))
-        majority_pairs = _lift(majority, partition)
-        unan_pairs = {(names[i], names[j]) for i, j in _lift(unanimous, partition)}
-        block_g = digraph(names, [(names[i], names[j]) for i, j in majority_pairs])
+        majority_table = _lift(majority, partition)
+        unan_table = _lift(unanimous, partition)
+        block_g = digraph(names, _label_pairs(names, majority_table))
+        unan_pairs = set(_label_pairs(names, unan_table))
         cycle = next(
             (c for c in _cycles(block_g, unan_pairs) if c.kind in ("dominated", "dominating")),
             None,
@@ -287,13 +278,8 @@ def condense(agg: AggregateReach) -> CondensedGraph:
             continue
 
         changed = False
-        _, comp_of = _classify_unanimity_components(names, unan_pairs)
-        handled = set()
-        for members, cls in comp_of.values():
-            if members in handled:
-                continue
-            handled.add(members)
-            comp_blocks = [by_name[n] for n in members]
+        for members, cls in _unanimity_components(unan_table):
+            comp_blocks = [partition[i] for i in members]
             if any(b in frozen for b in comp_blocks):
                 flat = tuple(sorted(labs[x] for b in comp_blocks for x in b))
                 reason = ("complex-unanimity-overlaps-cycle" if cls == "complex"
@@ -323,7 +309,7 @@ def condense(agg: AggregateReach) -> CondensedGraph:
     return CondensedGraph(
         blocks=tuple(final_blocks),
         rules=tuple(final_rules),
-        edges=frozenset(sorted((rank[i], rank[j]) for i, j in majority_pairs)),
+        edges=frozenset(sorted(_label_pairs(rank, majority_table))),
         mapping=mapping,
         overlaps=tuple(overlaps),
     )

@@ -64,8 +64,18 @@ EXACT_SHARES_MAX = 12  # more policies print their stationary shares as floats
 
 
 def _load_json(path):
+    """The JSON value in a file; nesting past the recursion limit and an
+    integer past Python's digit limit are bad input as well."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise InputError("JSON nested deeper than the recursion limit") from None
+    except ValueError:  # int() refuses a literal past the digit limit
+        raise InputError(f"JSON integer over {sys.get_int_max_str_digits()} digits") from None
 
 
 _SCALARS = (str, int, float, type(None))  # bool is an int

@@ -17,11 +17,12 @@ import random
 from collections import Counter, deque
 from dataclasses import MISSING, dataclass, fields, replace
 
-from .errors import InputError, LengthMismatch, SeriesTooShort
+from .errors import CapExceeded, InputError, LengthMismatch, SeriesTooShort
 from .graphalg import subset_lattice
 
 BEHAVIORS = ("Egoistic", "PeerPossible")
 INIT_MODES = ("uniform", "dice-mix")
+MAX_AGENTS = 1_000_000  # a 1000 x 1000 square: about 1.7 s and 333 MB to build on a 2-core host
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,18 @@ class Topology:
         return len(self.neighbors)
 
 
+def _cap_agents(what, agents):
+    """Refuse a topology of more than MAX_AGENTS agents before building it."""
+    if agents > MAX_AGENTS:
+        raise CapExceeded(f"{what} has more than the {MAX_AGENTS} agents a topology may have")
+
+
 def square_topology(rows: int, cols: int) -> Topology:
     """Von Neumann 4-neighborhood with hard edges: corners have 2
     neighbors, edge agents 3, interior agents 4."""
     if rows < 1 or cols < 1:
         raise InputError("square topology needs positive dimensions")
+    _cap_agents(f"a {rows} x {cols} square", rows * cols)
     def idx(r, c):
         return r * cols + c
     neighbors = []
@@ -69,6 +77,7 @@ def mobian_circle_topology(n_agents: int, turn: int) -> Topology:
     """
     if n_agents < 3 or turn < 1 or turn >= n_agents:
         raise InputError("mobian circle needs 3+ agents and 1 <= turn < agents")
+    _cap_agents(f"a mobian circle of {n_agents} agents", n_agents)
     neighbors = []
     coords = []
     for i in range(n_agents):
@@ -90,6 +99,9 @@ def subset_tree_topology(n_features: int) -> Topology:
     are its size and its position among the subsets of that size."""
     if n_features < 1:
         raise InputError("subset tree needs at least one feature")
+    # 2^n - 1 agents, with n clamped first so that a huge n builds no huge int
+    _cap_agents(f"a subset tree of {n_features} features",
+                (1 << min(n_features, MAX_AGENTS.bit_length() + 1)) - 1)
     masks = subset_lattice(n_features)
     index = {m: i for i, m in enumerate(masks)}
     first = {}  # size -> index of the first subset of that size

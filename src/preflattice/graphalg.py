@@ -200,46 +200,6 @@ def strongly_connected_components(g: Digraph):
     return comps
 
 
-def weak_components(g: Digraph):
-    """Connected components with edge directions ignored; sorted members."""
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = set()
-    comps = []
-    for s in g.vertices:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def transitive_reduction(g: Digraph) -> Digraph:
-    """Smallest edge set with the same reachability; requires g acyclic."""
-    closed = transitive_closure(g)
-    for u, v in closed.edges:
-        if (v, u) in closed.edges:
-            raise CyclicRelation("transitive reduction needs an acyclic digraph")
-    reach = _adjacency(closed)
-    kept = set()
-    for u, v in g.edges:
-        if u == v:
-            continue
-        if not any(v in reach[w] for w in reach[u] if w != v):
-            kept.add((u, v))
-    return digraph(g.vertices, kept)
-
-
 # ---------------------------------------------------------------------------
 # posets: Dilworth decomposition
 
@@ -291,19 +251,31 @@ def max_antichain(p: Poset):
     match_right = [None] * n  # right vertex -> matched left vertex
     match_left = [None] * n
 
-    def try_augment(u, visited):
-        for v in succ[u]:
-            if visited[v]:
+    # augmenting paths by depth-first search, iterative so that a long path
+    # cannot overflow the stack: one frame per left vertex on the path, with
+    # its untried successors, and the right vertex each frame has taken
+    for root in range(n):
+        visited = [False] * n
+        frames = [(root, iter(succ[root]))]
+        taken = []
+        while frames:
+            for v in frames[-1][1]:
+                if not visited[v]:
+                    visited[v] = True
+                    break
+            else:
+                frames.pop()
+                if taken:
+                    taken.pop()
                 continue
-            visited[v] = True
-            if match_right[v] is None or try_augment(match_right[v], visited):
-                match_right[v] = u
-                match_left[u] = v
-                return True
-        return False
-
-    for u in range(n):
-        try_augment(u, [False] * n)
+            taken.append(v)
+            w = match_right[v]
+            if w is None:
+                for (u, _), v in zip(frames, taken):
+                    match_right[v] = u
+                    match_left[u] = v
+                break
+            frames.append((w, iter(succ[w])))
 
     # chains: follow matched successors from chain heads
     heads = [v for v in range(n) if match_right[v] is None]

@@ -15,7 +15,9 @@ subscriber and group pair. For aggregation: common indifferences as the
 intersection of each voter's tied pairs, the count matrix by one rank
 lookup per voter and vertex pair, mean matrices summed one ballot matrix
 at a time, and cycles and condensation by label-keyed lifts that test
-every cross pair against the count matrix.
+every cross pair against the count matrix. Unanimity components are
+classed on the label digraph, by the weak components of its transitive
+reduction and the degrees within each.
 """
 
 from collections import Counter
@@ -30,18 +32,24 @@ from preflattice.aggregate import (
     CondensedGraph,
     CycleInfo,
     UnanimityReport,
-    _classify_unanimity_components,
 )
 from preflattice.core import Bigraph, LabeledMatrix, make_order
 from preflattice.culture import Topology
-from preflattice.errors import InputError, SelfFollowup, UnknownParent, UnmappedThread
+from preflattice.errors import (
+    CyclicRelation,
+    InputError,
+    SelfFollowup,
+    UnknownParent,
+    UnmappedThread,
+)
 from preflattice.graphalg import (
+    _adjacency,
     _compatible_subbigraph,
     _path_to_order,
     digraph,
     hamiltonian_paths,
     strongly_connected_components,
-    weak_components,
+    transitive_closure,
 )
 from preflattice.mlorder import max_likelihood_order, tally
 from preflattice.selforg import APATHY, check_interest_names, group_label
@@ -455,6 +463,81 @@ def pairwise_common_indifferences(profile) -> frozenset:
                     pairs.add(frozenset((u, v)))
         common = pairs if common is None else common & pairs
     return frozenset(common)
+
+
+def weak_components(g):
+    """Connected components with edge directions ignored; sorted members."""
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = set()
+    comps = []
+    for s in g.vertices:
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def transitive_reduction(g):
+    """Smallest edge set with the same reachability; requires g acyclic."""
+    closed = transitive_closure(g)
+    for u, v in closed.edges:
+        if (v, u) in closed.edges:
+            raise CyclicRelation("transitive reduction needs an acyclic digraph")
+    reach = _adjacency(closed)
+    kept = set()
+    for u, v in g.edges:
+        if u == v:
+            continue
+        if not any(v in reach[w] for w in reach[u] if w != v):
+            kept.add((u, v))
+    return digraph(g.vertices, kept)
+
+
+def _classify_unanimity_components(labels, unanimities):
+    """Class per unanimous pair, determined by the shape of its weak
+    component in the transitive reduction of the unanimity digraph:
+    one edge = simple, a single path = compound-simple, anything with
+    branching = complex. Closure pairs inherit their component's class.
+    Also returns each vertex's (component members, class).
+    """
+    g = digraph(labels, unanimities)
+    red = transitive_reduction(g)
+    classification = {}
+    comp_of = {}
+    for comp in weak_components(red):
+        if len(comp) < 2:
+            continue
+        members = set(comp)
+        red_edges = [(u, v) for u, v in red.edges if u in members]
+        if len(red_edges) == 1:
+            cls = "simple"
+        else:
+            out_deg = {}
+            in_deg = {}
+            for u, v in red_edges:
+                out_deg[u] = out_deg.get(u, 0) + 1
+                in_deg[v] = in_deg.get(v, 0) + 1
+            is_path = all(d <= 1 for d in out_deg.values()) and all(
+                d <= 1 for d in in_deg.values()
+            )
+            cls = "compound-simple" if is_path else "complex"
+        for u in comp:
+            comp_of[u] = (frozenset(members), cls)
+    for u, v in unanimities:
+        classification[(u, v)] = comp_of[u][1]
+    return classification, comp_of
 
 
 def _label_unanimities(q):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preflattice.aggregate import (
+    _unanimity_components,
     aggregate_reach,
     borda_scores,
     classify_cycles,
@@ -18,6 +19,7 @@ from preflattice.entropy import mean_preference_matrix
 from preflattice.errors import WeakOrderUnsupported
 
 from oracles import (
+    _classify_unanimity_components,
     label_classify_cycles,
     label_condense,
     mean_matrix_by_ballot,
@@ -378,3 +380,57 @@ def test_aggregation_matches_label_keyed_oracles(profile):
     assert (cg.blocks, cg.rules, cg.mapping) == (oracle.blocks, oracle.rules, oracle.mapping)
     assert list(cg.edges) == list(oracle.edges)
     assert cg.overlaps == tuple(dict.fromkeys(oracle.overlaps))
+
+
+def table_of(n, pairs):
+    """The transitive closure of the pairs as an n x n boolean table."""
+    rel = [[False] * n for _ in range(n)]
+    for i, j in pairs:
+        rel[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if rel[i][k]:
+                rel[i] = [a or b for a, b in zip(rel[i], rel[k])]
+    return rel
+
+
+def components_by_oracle(rel):
+    """(members, class) per component from the label-digraph classifier,
+    in order of least member."""
+    n = len(rel)
+    pairs = [(i, j) for i in range(n) for j in range(n) if rel[i][j]]
+    _, comp_of = _classify_unanimity_components(range(n), pairs)
+    return sorted({(tuple(sorted(m)), cls) for m, cls in comp_of.values()})
+
+
+@pytest.mark.parametrize("n, pairs, expected", [
+    (0, [], []),
+    (3, [], []),  # antichain
+    (2, [(0, 1)], [((0, 1), "simple")]),
+    (4, [(0, 1), (1, 2), (2, 3)], [((0, 1, 2, 3), "compound-simple")]),
+    (3, [(0, 1), (0, 2)], [((0, 1, 2), "complex")]),  # V
+    (3, [(1, 0), (2, 0)], [((0, 1, 2), "complex")]),  # Λ
+    (4, [(0, 1), (0, 2), (1, 3), (2, 3)], [((0, 1, 2, 3), "complex")]),  # diamond
+    (4, [(0, 2), (1, 3)], [((0, 2), "simple"), ((1, 3), "simple")]),  # interleaved members
+    (6, [(4, 3), (3, 2), (1, 0)], [((0, 1), "simple"), ((2, 3, 4), "compound-simple")]),
+])
+def test_unanimity_components_shapes(n, pairs, expected):
+    rel = table_of(n, pairs)
+    assert _unanimity_components(rel) == expected
+    assert components_by_oracle(rel) == expected
+
+
+@st.composite
+def strict_partial_orders(draw):
+    """Transitive closures of random DAGs on up to 8 vertices: a shuffle
+    of the vertices orders them, and each edge runs forward in it."""
+    order = draw(st.permutations(range(draw(st.integers(0, 8)))))
+    forward = [(u, v) for a, u in enumerate(order) for v in order[a + 1:]]
+    edges = draw(st.lists(st.sampled_from(forward), max_size=12)) if forward else []
+    return table_of(len(order), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strict_partial_orders())
+def test_unanimity_components_match_transitive_reduction_oracle(rel):
+    assert _unanimity_components(rel) == components_by_oracle(rel)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -385,14 +386,15 @@ def sim_config(**overrides):
     (sim_config(topology={"kind": "square", "rows": 2.7, "cols": 3}), []),
     (sim_config(topology={"kind": "square", "rows": 1, "cols": 1}), []),
     (sim_config(topology={"kind": "subset-tree", "features": 1}), []),
+    (sim_config(topology={"kind": "square", "rows": 0, "cols": 10**12}), []),
     (sim_config(selections_per_period=-5), []),
     (SIM_CONFIG, ["--replicates", "0"]),
     (SIM_CONFIG, ["--snapshot-every", "-1"]),
     (sim_config(k=float("nan")), []),
     (sim_config(k=float("inf")), []),
 ], ids=["string-features", "missing-cols", "fractional-rows", "lone-agent-square",
-        "lone-agent-subset-tree", "negative-selections", "zero-replicates",
-        "negative-snapshot-every", "nan-k", "infinite-k"])
+        "lone-agent-subset-tree", "empty-square-past-the-cap", "negative-selections",
+        "zero-replicates", "negative-snapshot-every", "nan-k", "infinite-k"])
 def test_simulate_rejects_bad_input(tmp_path, capsys, config, extra):
     path = write_json(tmp_path / "config.json", config)
     rc, out, err = run_cli(["simulate", path, *extra], capsys)
@@ -400,6 +402,36 @@ def test_simulate_rejects_bad_input(tmp_path, capsys, config, extra):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("topology", [
+    {"kind": "square", "rows": 100_000, "cols": 100_000},
+    {"kind": "subset-tree", "features": 20},
+    {"kind": "mobian-circle", "agents": 1_000_001, "turn": 3},
+], ids=["square", "subset-tree", "mobian-circle"])
+def test_simulate_refuses_topologies_past_the_agent_cap(tmp_path, capsys, monkeypatch, topology):
+    # the enumeration-cap variable does not lift the agent cap
+    monkeypatch.setenv("PREFLATTICE_MAX_VERTICES", "10000000000")
+    path = write_json(tmp_path / "config.json", sim_config(topology=topology))
+    start = time.perf_counter()
+    rc, out, err = run_cli(["simulate", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[" * 100_000 + "]" * 100_000, "InputError"),
+    ("-" + "9" * 5000, "InputError"),
+    ('{"policies": [', "JSONDecodeError"),
+], ids=["deep-nesting", "long-integer", "truncated"])
+def test_unreadable_json_exits_2_with_one_record(tmp_path, capsys, text, error):
+    path = tmp_path / "profile.json"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run_cli(["aggregate", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == error
 
 
 SCENARIO_EVENTS = """t,subscriber,thread,kind,parent

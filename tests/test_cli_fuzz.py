@@ -291,6 +291,8 @@ def k_case(k):
 COMPARISONS = "i,j,outcome\n1,2,>\n"
 WIDE = [f"p{i}" for i in range(101)]
 BIG_FIELD = '"' + "x" * 140_000 + '"'
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INT_JSON = "1" * 5000
 
 PINNED = [
     (BIG_COUNT, 3),
@@ -331,6 +333,12 @@ PINNED = [
     (case("scenario-newsgroup", "e.csv", "--interests", "i.json", **{
         "e.csv": EVENTS + f"4,{BIG_FIELD},m1,initiate,\n",
         "i.json": json.dumps({"threads": {"m1": "a"}})}), 2),
+    # JSON nested past the recursion limit, or an integer past the digit limit
+    *[(case(*argv, **{"f.json": text, "c.csv": COMPARISONS}), 2)
+      for text in (DEEP_JSON, LONG_INT_JSON)
+      for argv in (["entropy", "f.json"], ["aggregate", "f.json"], ["borda", "f.json"],
+                   ["antichain", "f.json"], ["tg-check", "f.json", "--from", "a", "--to", "a"],
+                   ["simulate", "f.json"], ["mlorder", "c.csv", "--candidates", "f.json"])],
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preflattice import culture
 from preflattice.culture import (
     CultureConfig,
     Field,
@@ -29,7 +30,7 @@ from preflattice.culture import (
     variety_entropy,
     variety_table,
 )
-from preflattice.errors import InputError, SeriesTooShort
+from preflattice.errors import CapExceeded, InputError, SeriesTooShort
 
 from oracles import (
     compatibility_entropy_decimal,
@@ -95,6 +96,17 @@ def test_build_topology_validation():
         build_topology({"kind": "donut"})
     with pytest.raises(InputError):
         build_topology({"rows": 3})
+
+
+def test_agent_cap_is_checked_before_building(monkeypatch):
+    monkeypatch.setattr(culture, "MAX_AGENTS", 12)
+    assert square_topology(3, 4).size == 12
+    assert mobian_circle_topology(12, 3).size == 12
+    assert subset_tree_topology(3).size == 7
+    for build, sizes in [(square_topology, (3, 5)), (mobian_circle_topology, (13, 3)),
+                         (subset_tree_topology, (4,)), (subset_tree_topology, (10**9,))]:
+        with pytest.raises(CapExceeded):
+            build(*sizes)
 
 
 def test_interaction_needs_partial_overlap():

@@ -21,11 +21,16 @@ from preflattice.graphalg import (
     tg_graph_from_dict,
     tg_connected,
     transitive_closure,
-    transitive_reduction,
 )
 
 import worked_example as wx
-from oracles import bigraph, completed_bigraph_subbigraphs, count_hamiltonian_paths, has_circuit
+from oracles import (
+    bigraph,
+    completed_bigraph_subbigraphs,
+    count_hamiltonian_paths,
+    has_circuit,
+    transitive_reduction,
+)
 from preflattice.mlorder import induced_bigraph, raw_estimates
 
 
@@ -40,6 +45,20 @@ def test_transitive_reduction_inverts_closure():
     g = digraph("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("a", "d")])
     red = transitive_reduction(g)
     assert set(red.edges) == {("a", "b"), ("b", "c"), ("c", "d")}
+
+
+def test_max_antichain_on_a_crown_past_the_recursion_limit():
+    # a_i < b_i and a_i < b_(i+1 mod n), the b's listed in reverse: the
+    # augmenting paths grow to about n left vertices
+    n = 1000
+    a = [f"a{i}" for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    p = poset(a + b[::-1], [(a[i], b[i]) for i in range(n)]
+              + [(a[i], b[(i + 1) % n]) for i in range(n)])
+    size, antichain, chains = max_antichain(p)
+    assert size == len(antichain) == len(chains) == n
+    assert not any((u, v) in p.below for u in antichain for v in antichain)
+    assert all(len(c) == 2 and tuple(c) in p.below for c in chains)
 
 
 def test_hamiltonian_paths_transitive_tournament():
