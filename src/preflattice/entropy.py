@@ -19,7 +19,6 @@ from .graphalg import digraph, strongly_connected_components
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
-BRACKET_TOL = 1e-6  # relative width of the Perron-root bracket at a stop
 STATIONARY_TOL = 1e-9
 STATIONARY_MAX_DIM = 100  # the exact solve takes seconds above this
 
@@ -49,30 +48,30 @@ def _perron_root(block) -> float:
     """Perron root of an irreducible nonnegative block, given as rows.
 
     Power iteration on A + I from the uniform vector: the shift makes the
-    block primitive, so the growth of the vector's sum converges
-    geometrically, and it moves the root by exactly 1. The growth can
-    repeat by coincidence while the vector is still far off, so a stop
-    also needs the Collatz-Wielandt bracket min/max (Bx)_i / x_i, which
-    holds the root, to be narrow. Each row product is summed exactly
-    rounded (math.fsum).
+    block primitive, so the vector converges geometrically, and it moves
+    the root by exactly 1. The Collatz-Wielandt bracket min/max (Bx)_i / x_i
+    holds the root, and so does the growth of the vector's sum, a weighted
+    mean of the same ratios; the iteration stops once the bracket is
+    narrower than POWER_TOL relative, which bounds the error of the
+    returned growth. The growth alone can stall by coincidence while the
+    vector is still far off. Each row product is summed exactly rounded
+    (math.fsum).
     """
     n = len(block)
     b = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(block)]
     x = [1.0 / n] * n
-    prev = None
     for _ in range(POWER_MAX_ITER):
         y = [math.fsum(map(operator.mul, row, x)) for row in b]
         lam = math.fsum(y)
-        if prev is not None and abs(lam - prev) <= POWER_TOL * max(1.0, abs(lam)):
-            ratios = [yi / xi for yi, xi in zip(y, x)]
-            if max(ratios) - min(ratios) <= BRACKET_TOL * lam:
-                return lam - 1.0
+        ratios = [yi / xi for yi, xi in zip(y, x)]
+        width = max(ratios) - min(ratios)
+        if width <= POWER_TOL * lam:
+            return lam - 1.0
         x = [yi / lam for yi in y]
-        prev = lam
     raise NonConvergence(
         "spectral radius estimate did not stabilize",
         estimate=lam - 1.0,
-        residual=abs(lam - prev),
+        residual=width,
     )
 
 

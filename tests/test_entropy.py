@@ -294,3 +294,19 @@ def test_spectral_radius_does_not_stop_on_a_repeated_growth():
     expected = max(abs(np.linalg.eigvals(np.array(block))))
     m = LabeledMatrix(tuple("abcd"), tuple(map(tuple, block)))
     assert spectral_radius(m) == pytest.approx(expected, rel=1e-9)
+
+
+def test_spectral_radius_does_not_stop_on_a_turning_growth():
+    # The growth of A + I falls towards the root, overshoots it and turns
+    # back: two steps 2.5e-12 apart while it is still 3.3e-9 off.
+    ballots = [[["p0"], ["p1", "p4"], ["p5"], ["p3"], ["p2"]]] * 3 + [
+        [["p0"], ["p1", "p3"], ["p5"], ["p4"], ["p2"]],
+        [["p0"], ["p1"], ["p5"], ["p2", "p3"], ["p4"]],
+        [["p0"], ["p1"], ["p5"], ["p2", "p3"], ["p4"]],
+    ]
+    profile = profile_from_dict({
+        "policies": [f"p{i}" for i in range(6)],
+        "voters": [{"id": f"v{i}", "ranking": r} for i, r in enumerate(ballots)],
+    })
+    f = mean_preference_matrix(profile)
+    assert spectral_radius(f) == pytest.approx(oracle_spectral_radius(f.rows), rel=1e-12)
