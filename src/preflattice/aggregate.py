@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .core import LabeledMatrix, Profile, strict_counts
 from .errors import InputError, WeakOrderUnsupported
-from .graphalg import digraph, strongly_connected_components
+from .graphalg import strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,12 @@ def aggregate_reach(profile: Profile):
     return agg, report
 
 
-def majority_digraph(agg: AggregateReach):
-    """Edge u -> v iff q_uv strictly exceeds half the voters, so exact ties
-    produce no edge."""
-    return digraph(agg.q.labels, _label_pairs(agg.q.labels, _majority(agg)))
-
-
-def _cycles(g, unanimous):
-    """CycleInfo per strongly-connected component (size >= 2) of a
-    majority digraph, given the unanimous pairs over its vertices.
+def _cycles(majority, unanimous, names):
+    """(members, kind, dominators, dominees) as vertex indices for each
+    strongly connected component of two or more vertices of a majority
+    table, given the unanimity table and the vertex names. Successors are
+    tried in name order and members listed in it; witnesses follow the
+    indices.
 
     A cycle spanning every vertex is complete. Otherwise it is dominated
     when some outside vertex is unanimously above all members, dominating
@@ -206,13 +203,14 @@ def _cycles(g, unanimous):
     when neither witness exists. A cycle that is both dominated and
     dominating is tagged dominated; both witness lists are reported.
     """
+    by_name = sorted(range(len(names)), key=names.__getitem__)
     cycles = []
-    for comp in strongly_connected_components(g):
+    for comp in strongly_connected_components([[j for j in by_name if row[j]] for row in majority]):
         if len(comp) < 2:
             continue
-        outside = [d for d in g.vertices if d not in comp]
-        dominators = tuple(d for d in outside if all((d, u) in unanimous for u in comp))
-        dominees = tuple(d for d in outside if all((u, d) in unanimous for u in comp))
+        outside = [d for d in range(len(names)) if d not in comp]
+        dominators = tuple(d for d in outside if all(unanimous[d][u] for u in comp))
+        dominees = tuple(d for d in outside if all(unanimous[u][d] for u in comp))
         if not outside:
             kind = "complete"
         elif dominators:
@@ -221,13 +219,17 @@ def _cycles(g, unanimous):
             kind = "dominating"
         else:
             kind = "plain"
-        cycles.append(CycleInfo(members=comp, kind=kind, dominators=dominators, dominees=dominees))
+        cycles.append((sorted(comp, key=names.__getitem__), kind, dominators, dominees))
     return cycles
 
 
 def classify_cycles(agg: AggregateReach) -> list:
-    """The cycles of the majority digraph over single vertices; see _cycles."""
-    return _cycles(majority_digraph(agg), set(_label_pairs(agg.q.labels, _unanimous(agg))))
+    """The cycles of the majority relation over single vertices; see _cycles."""
+    labs = agg.q.labels
+    cycles = _cycles(_majority(agg), _unanimous(agg), labs)
+    return [CycleInfo(tuple(labs[v] for v in members), kind,
+                      tuple(labs[v] for v in dominators), tuple(labs[v] for v in dominees))
+            for members, kind, dominators, dominees in cycles]
 
 
 def condense(agg: AggregateReach) -> CondensedGraph:
@@ -240,8 +242,8 @@ def condense(agg: AggregateReach) -> CondensedGraph:
     components are never merged; both situations are reported once each
     in ``overlaps`` when they block a merge. All lifts are universal: a
     block-level relation holds only when every cross pair of original
-    vertices has it. Majority means more than half the voters, as in
-    majority_digraph.
+    vertices has it. Majority means more than half the voters, so an
+    exact tie gives no direction.
     """
     labs = agg.q.labels
     unanimous, majority = _unanimous(agg), _majority(agg)
@@ -262,33 +264,27 @@ def condense(agg: AggregateReach) -> CondensedGraph:
 
     changed = True
     while changed:
-        # the block graphs of this round; a block is named by its least label
+        # the block relations of this round; a block is named by its least label
         names = [min(labs[x] for x in b) for b in partition]
-        by_name = dict(zip(names, partition))
         majority_table = _lift(majority, partition)
         unan_table = _lift(unanimous, partition)
-        block_g = digraph(names, _label_pairs(names, majority_table))
-        unan_pairs = set(_label_pairs(names, unan_table))
-        cycle = next(
-            (c for c in _cycles(block_g, unan_pairs) if c.kind in ("dominated", "dominating")),
-            None,
-        )
-        if cycle:
-            frozen.add(merge([by_name[n] for n in cycle.members], f"{cycle.kind}-cycle"))
-            continue
-
-        changed = False
-        for members, cls in _unanimity_components(unan_table):
-            comp_blocks = [partition[i] for i in members]
-            if any(b in frozen for b in comp_blocks):
-                flat = tuple(sorted(labs[x] for b in comp_blocks for x in b))
-                reason = ("complex-unanimity-overlaps-cycle" if cls == "complex"
-                          else "unanimity-blocked-by-cycle-block")
-                overlaps[(flat, reason)] = None
-            elif cls != "complex":
-                merge(comp_blocks, f"{cls}-unanimity")
-                changed = True
+        for members, kind, *_ in _cycles(majority_table, unan_table, names):
+            if kind in ("dominated", "dominating"):
+                frozen.add(merge([partition[i] for i in members], f"{kind}-cycle"))
                 break
+        else:
+            changed = False
+            for members, cls in _unanimity_components(unan_table):
+                comp_blocks = [partition[i] for i in members]
+                if any(b in frozen for b in comp_blocks):
+                    flat = tuple(sorted(labs[x] for b in comp_blocks for x in b))
+                    reason = ("complex-unanimity-overlaps-cycle" if cls == "complex"
+                              else "unanimity-blocked-by-cycle-block")
+                    overlaps[(flat, reason)] = None
+                elif cls != "complex":
+                    merge(comp_blocks, f"{cls}-unanimity")
+                    changed = True
+                    break
 
     # blocks in order of their least label, expanded to original policies;
     # sorting the re-indexed pairs lists the edges row-major

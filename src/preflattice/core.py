@@ -244,6 +244,8 @@ class Bigraph:
                 raise InputError(f"self-loop {u!r} in D")
             if u not in known or v not in known:
                 raise UnknownLabel(f"edge ({u!r},{v!r}) uses unknown vertex")
+            if (v, u) in self.d_edges:
+                raise InputError(f"D joins {u!r} and {v!r} both ways")
             unordered_d.add(frozenset((u, v)))
         for pair in self.c_edges:
             if len(pair) != 2:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+import sys
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import CapExceeded, InputError, LengthMismatch, SeriesTooShort
@@ -196,7 +197,7 @@ class CultureConfig:
             raise InputError(f"behavior must be one of {BEHAVIORS}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InputError("epsilon must lie in [0, 1]")
-        if self.k is not None and not (math.isfinite(self.k) and self.k > 0):
+        if self.k is not None and not 0 < self.k <= sys.float_info.max:
             raise InputError("k must be a positive finite number")
         if self.init not in INIT_MODES:
             raise InputError(f"init must be one of {INIT_MODES}")
@@ -211,7 +212,7 @@ class CultureConfig:
 
     @property
     def k_effective(self) -> float:
-        return self.k if self.k is not None else 1.0 / self.n_features
+        return float(self.k) if self.k is not None else 1.0 / self.n_features
 
 
 def config_from_dict(data) -> CultureConfig:
@@ -634,7 +635,6 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     no_seconder_total = 0
 
     series = []
-    trace = deque(maxlen=window)  # variety counts over the last window
     prev_varieties = len(_variety_counts(fieldstate))
     streak = 0
     interactions_total = 0
@@ -657,7 +657,6 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
                 varieties=varieties,
             )
         )
-        trace.append(varieties)
         if interactions == 0 and varieties == prev_varieties:
             streak += 1
         else:
@@ -672,7 +671,7 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
         series=series,
         periods=t,
         status=status,
-        variety_trace=tuple(trace),
+        variety_trace=tuple(s.varieties for s in series[-window:]),
         field=fieldstate,
         interactions_total=interactions_total,
         selections_total=t * selections,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .core import LabeledMatrix, Order, Profile, strict_counts, transition_matrix
 from .errors import CapExceeded, NonConvergence, NotADistribution
-from .graphalg import digraph, strongly_connected_components
+from .graphalg import strongly_connected_components
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
@@ -42,6 +42,11 @@ class StationaryResult:
 
     labels: tuple[str, ...]
     distribution: tuple
+
+
+def _support(rows):
+    """Successor lists of a square matrix's off-diagonal nonzero entries."""
+    return [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(rows)]
 
 
 def _perron_root(block) -> float:
@@ -85,13 +90,10 @@ def spectral_radius(m: LabeledMatrix) -> float:
     steps).
     """
     rows = m.rows
-    n = len(rows)
-    support = digraph(range(n), [(i, j) for i in range(n) for j in range(n)
-                                 if i != j and rows[i][j] != 0])
     roots = [
         float(rows[b[0]][b[0]]) if len(b) == 1
         else _perron_root([[float(rows[i][j]) for j in b] for i in b])
-        for b in strongly_connected_components(support)
+        for b in strongly_connected_components(_support(rows))
     ]
     return max(roots, default=0.0)
 
@@ -206,9 +208,7 @@ def stationary_distribution(m: LabeledMatrix) -> StationaryResult:
     d = math.lcm(*(x.denominator for row in rows for x in row))
     p = [[int(x * d) for x in row] for row in rows]
 
-    support = digraph(range(n), [(i, j) for i in range(n) for j in range(n)
-                                 if i != j and p[i][j]])
-    comps = strongly_connected_components(support)
+    comps = [sorted(comp) for comp in strongly_connected_components(_support(p))]
     comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
     closed = [comp for c, comp in enumerate(comps)
               if all(comp_of[j] == c for i in comp for j in range(n) if p[i][j])]

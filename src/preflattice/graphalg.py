@@ -1,15 +1,18 @@
 """Graph and poset algorithms shared by the analysis modules.
 
-Closures, Hamiltonian path enumeration, the subset lattice, maximal
-circuit-free sub-bigraphs, strongly connected components, antichain/chain
-decomposition of posets, and take-grant connectivity.
+Hamiltonian path enumeration, the subset lattice, maximal circuit-free
+sub-bigraphs, strongly connected components, closure and antichain/chain
+decomposition of posets, and take-grant connectivity. The digraph
+algorithms take successor lists over the vertices 0..n-1 (succ[v] lists
+the heads of v's arcs), so callers pass the tables they already hold;
+``Digraph`` is the label type at the API edge.
 Everything here is desk-scale and exact; enumeration routines carry caps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .core import Bigraph, Order
 from .errors import (
@@ -42,57 +45,35 @@ def digraph(vertices, edges) -> Digraph:
     return Digraph(tuple(vertices), frozenset((u, v) for u, v in edges))
 
 
-def _adjacency(g: Digraph):
-    adj = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-    return adj
-
-
-def transitive_closure(g: Digraph) -> Digraph:
-    """Edge (u,v) present iff a directed path u -> v exists in g."""
-    adj = _adjacency(g)
-    order = list(g.vertices)
-    reach = {v: set(adj[v]) for v in order}
-    for k in order:
-        rk = reach[k]
-        for u in order:
-            if k in reach[u]:
-                reach[u] |= rk
-    return digraph(g.vertices, [(u, v) for u in order for v in reach[u]])
-
-
-def hamiltonian_paths(g: Digraph):
+def hamiltonian_paths(succ):
     """All directed paths visiting every vertex exactly once.
 
-    Deterministic: start vertices and extensions follow the declared
-    vertex order. Capped (default 10 vertices).
+    Deterministic: start vertices follow index order and extensions the
+    order of each successor list. Capped (default 10 vertices).
     """
+    n = len(succ)
     cap = vertex_cap(HAMILTONIAN_CAP)
-    if len(g.vertices) > cap:
+    if n > cap:
         raise CapExceeded(
-            f"hamiltonian path search over {len(g.vertices)} vertices exceeds the cap of {cap}"
+            f"hamiltonian path search over {n} vertices exceeds the cap of {cap}"
         )
-    adj = _adjacency(g)
-    verts = list(g.vertices)
-    n = len(verts)
     paths = []
     path = []
-    used = set()
+    used = [False] * n
 
     def extend(v):
         path.append(v)
-        used.add(v)
+        used[v] = True
         if len(path) == n:
             paths.append(tuple(path))
         else:
-            for w in verts:
-                if w not in used and w in adj[v]:
+            for w in succ[v]:
+                if not used[w]:
                     extend(w)
         path.pop()
-        used.remove(v)
+        used[v] = False
 
-    for s in verts:
+    for s in range(n):
         extend(s)
     return paths
 
@@ -109,17 +90,6 @@ def subset_lattice(n: int) -> list:
 # ---------------------------------------------------------------------------
 # bigraphs: maximal circuit-free sub-bigraphs
 
-def _path_to_order(path, c_pairs) -> Order:
-    """Collapse maximal runs of C steps along a path into tie-groups."""
-    groups = [[path[0]]]
-    for a, z in zip(path, path[1:]):
-        if frozenset((a, z)) in c_pairs:
-            groups[-1].append(z)
-        else:
-            groups.append([z])
-    return Order(tuple(tuple(sorted(g)) for g in groups))
-
-
 def _compatible_subbigraph(b: Bigraph, order: Order) -> Bigraph:
     rank = order.ranks()
     d_keep = {(u, v) for u, v in b.d_edges if rank[u] < rank[v]}
@@ -130,73 +100,79 @@ def _compatible_subbigraph(b: Bigraph, order: Order) -> Bigraph:
 def maximal_circuit_free_subbigraphs(b: Bigraph):
     """Enumerate the maximal circuit-free sub-bigraphs of b.
 
-    Each corresponds to a Hamiltonian path of the walk digraph: D edges
-    one way, and both ways between every pair D does not join (its C
-    pairs, and missing pairs filled in as indifference for the traversal
-    only). Paths that induce the same weak order describe the same
+    Each corresponds to a Hamiltonian path of the walk digraph: every
+    ordered pair of vertices except one against a D edge, so D edges run
+    one way and every pair D does not join (its C pairs, and missing pairs
+    filled in as indifference for the traversal only) both ways. Maximal
+    runs of C steps, those whose reverse arc exists, are the tie-groups of
+    the path's order. Paths that induce the same weak order describe the same
     sub-bigraph, so the result is deduplicated by order: a list of
     (sub-bigraph, order) pairs, where the sub-bigraph keeps exactly the
     original edges compatible with the order.
     """
-    d_pairs = {frozenset(e) for e in b.d_edges}
-    c_steps = [e for e in permutations(b.vertices, 2) if frozenset(e) not in d_pairs]
-    c_pairs = {frozenset(e) for e in c_steps}
+    verts = b.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    arc = [[i != j for j in range(len(verts))] for i in range(len(verts))]
+    for u, v in b.d_edges:
+        arc[pos[v]][pos[u]] = False
     seen = {}
-    for p in hamiltonian_paths(digraph(b.vertices, [*b.d_edges, *c_steps])):
-        order = _path_to_order(p, c_pairs)
+    for path in hamiltonian_paths([[j for j, x in enumerate(row) if x] for row in arc]):
+        groups = [[verts[path[0]]]]
+        for a, z in zip(path, path[1:]):
+            if arc[z][a]:
+                groups[-1].append(verts[z])
+            else:
+                groups.append([verts[z]])
+        order = Order(tuple(tuple(sorted(g)) for g in groups))
         if order not in seen:
             seen[order] = _compatible_subbigraph(b, order)
     return [(sub, order) for order, sub in seen.items()]
 
 
-def strongly_connected_components(g: Digraph):
-    """Tarjan's algorithm, iterative; components listed with sorted members,
-    in a deterministic order."""
-    adj = _adjacency(g)
-    index = {}
-    low = {}
-    on_stack = set()
+def strongly_connected_components(succ):
+    """Tarjan's algorithm, iterative, over successor lists on the vertices
+    0..n-1. Roots are tried in index order and each vertex's successors
+    in the order listed; the components come in completion order, each a
+    tuple of its vertices in the order they were reached."""
+    n = len(succ)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack = []
+    work = []  # (vertex, its untried successors, stack depth below it)
     comps = []
-    counter = [0]
+    counter = 0
 
-    for root in g.vertices:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+    def reach(v):
+        nonlocal counter
+        index[v] = low[v] = counter
+        counter += 1
+        work.append((v, iter(succ[v]), len(stack)))
+        stack.append(v)
+        on_stack[v] = True
+
+    for root in range(n):
+        if index[root] is None:
+            reach(root)
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
+            v, untried, depth = work[-1]
+            for w in untried:
+                if index[w] is None:
+                    reach(w)
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = stack[depth:]
+                    del stack[depth:]
+                    for w in comp:
+                        on_stack[w] = False
+                    comps.append(tuple(comp))
     return comps
 
 
@@ -212,23 +188,35 @@ class Poset:
 
 
 def poset(elements, pairs) -> Poset:
-    """Build a poset from comparabilities (u <= v), closing transitively and
-    rejecting cycles."""
+    """Build a poset from comparabilities (u <= v), closing transitively
+    (Warshall's, on one bitmask per element) and rejecting a cycle by the
+    first pair (u, v) in element order with u != v and each below the other.
+    """
     elems = tuple(elements)
-    known = set(elems)
-    if len(known) != len(elems):
+    pos = {e: i for i, e in enumerate(elems)}
+    if len(pos) != len(elems):
         raise InputError("duplicate poset element")
-    strict = set()
+    reach = [0] * len(elems)  # bit j of reach[i]: element i is below element j
     for u, v in pairs:
-        if u not in known or v not in known:
+        if u not in pos or v not in pos:
             raise UnknownVertex(f"pair ({u!r},{v!r}) uses unknown element")
         if u != v:
-            strict.add((u, v))
-    closed = transitive_closure(digraph(elems, strict))
-    for u, v in closed.edges:
-        if (v, u) in closed.edges:
-            raise CyclicRelation(f"{u!r} and {v!r} are mutually below each other")
-    return Poset(elems, frozenset(closed.edges))
+            reach[pos[u]] |= 1 << pos[v]
+    for k, rk in enumerate(reach):
+        bit = 1 << k
+        for i, r in enumerate(reach):
+            if r & bit:
+                reach[i] = r | rk
+    below = []
+    for i, r in enumerate(reach):
+        for j, x in enumerate(bin(r)[:1:-1]):
+            if x == "1" and j != i:
+                if reach[j] >> i & 1:
+                    raise CyclicRelation(
+                        f"{elems[i]!r} and {elems[j]!r} are mutually below each other"
+                    )
+                below.append((elems[i], elems[j]))
+    return Poset(elems, frozenset(below))
 
 
 def max_antichain(p: Poset):

@@ -270,7 +270,8 @@ def extract_prefs(ledger: ThreadLedger, thread_map, interests=None) -> dict:
         top = set()
         for thread in ledger.counted_threads(sub):
             if thread not in thread_map:
-                raise UnmappedThread(f"thread {thread!r} is not mapped to an interest")
+                least = min(ledger.counted_threads(sub) - thread_map.keys())
+                raise UnmappedThread(f"thread {least!r} is not mapped to an interest")
             top.add(thread_map[thread])
         key = frozenset(top)
         order = order_of.get(key)
@@ -302,7 +303,9 @@ def group_label(subset) -> str:
 def check_interest_names(names) -> list:
     """The names sorted, once each is known to make distinct group labels:
     non-empty, free of the "+" that joins them, and neither the entry
-    group's label nor the apathy element."""
+    group's label nor the apathy element. The first bad name in sorted
+    order is reported."""
+    names = sorted(names)
     for name in names:
         if not name:
             raise InputError("interest names must not be empty")
@@ -310,7 +313,7 @@ def check_interest_names(names) -> list:
             raise InputError(f"interest name {name!r} contains '+', which joins group labels")
         if name in (ENTRY, APATHY):
             raise InputError(f"interest name {name!r} is reserved")
-    return sorted(names)
+    return names
 
 
 def partition_subscribers(prefs: dict, interests=None) -> GroupAssignment:

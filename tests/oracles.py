@@ -1,23 +1,26 @@
 """Reference implementations the tests compare the library against.
 
 Each one computes what a library path computes, by a different or more
-direct route: a subset-DP path count for the Hamiltonian enumeration, a
-reachability test for circuit-freeness of sub-bigraphs, the sub-bigraphs
-found through the completed bigraph, the subset tree over frozensets and
-the group topology by testing every pair of interest sets, the pass test of
-one selection for the simulator's fused sweep, the compatibility entropy in
-40-digit decimals with one term per compatible pair, and the Cesàro limit
-of a Markov chain for the stationary distribution, by projector equations
-over the rationals and by absorbing-chain solves in floats. For the
-newsgroup scenario: the posting protocol over dicts keyed by event, one
-two-ply order built per subscriber, and group comparisons recorded one per
-subscriber and group pair. For aggregation: common indifferences as the
-intersection of each voter's tied pairs, the count matrix by one rank
-lookup per voter and vertex pair, mean matrices summed one ballot matrix
-at a time, and cycles and condensation by label-keyed lifts that test
-every cross pair against the count matrix. Unanimity components are
-classed on the label digraph, by the weak components of its transitive
-reduction and the degrees within each.
+direct route: the graph algorithms on label digraphs keyed by dict and set
+(Tarjan's components, the Hamiltonian walk, the transitive closure and the
+poset built on it), a subset-DP path count for the Hamiltonian
+enumeration, a reachability test for circuit-freeness of sub-bigraphs, the
+sub-bigraphs found through the completed bigraph, the subset tree over
+frozensets and the group topology by testing every pair of interest sets,
+the pass test of one selection for the simulator's fused sweep, the
+compatibility entropy in 40-digit decimals with one term per compatible
+pair, and the Cesàro limit of a Markov chain for the stationary
+distribution, by projector equations over the rationals and by
+absorbing-chain solves in floats. For the newsgroup scenario: the posting
+protocol over dicts keyed by event, one two-ply order built per
+subscriber, and group comparisons recorded one per subscriber and group
+pair. For aggregation: common indifferences as the intersection of each
+voter's tied pairs, the count matrix by one rank lookup per voter and
+vertex pair, mean matrices summed one ballot matrix at a time, and cycles
+and condensation by label-keyed lifts that test every cross pair against
+the count matrix. Unanimity components are classed on the label digraph,
+by the weak components of its transitive reduction and the degrees within
+each.
 """
 
 from collections import Counter
@@ -33,7 +36,7 @@ from preflattice.aggregate import (
     CycleInfo,
     UnanimityReport,
 )
-from preflattice.core import Bigraph, LabeledMatrix, make_order
+from preflattice.core import Bigraph, LabeledMatrix, Order, make_order
 from preflattice.culture import Topology
 from preflattice.errors import (
     CyclicRelation,
@@ -42,17 +45,125 @@ from preflattice.errors import (
     UnknownParent,
     UnmappedThread,
 )
-from preflattice.graphalg import (
-    _adjacency,
-    _compatible_subbigraph,
-    _path_to_order,
-    digraph,
-    hamiltonian_paths,
-    strongly_connected_components,
-    transitive_closure,
-)
+from preflattice.graphalg import Poset, _compatible_subbigraph, digraph
 from preflattice.mlorder import max_likelihood_order, tally
 from preflattice.selforg import APATHY, check_interest_names, group_label
+
+
+def _adjacency(g):
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+    return adj
+
+
+def transitive_closure(g):
+    """Edge (u,v) present iff a directed path u -> v exists in g."""
+    adj = _adjacency(g)
+    order = list(g.vertices)
+    reach = {v: set(adj[v]) for v in order}
+    for k in order:
+        rk = reach[k]
+        for u in order:
+            if k in reach[u]:
+                reach[u] |= rk
+    return digraph(g.vertices, [(u, v) for u in order for v in reach[u]])
+
+
+def label_poset(elements, pairs):
+    """``poset`` by the label-keyed closure: a Poset, or CyclicRelation
+    when the closure relates two distinct elements both ways."""
+    elems = tuple(elements)
+    closed = transitive_closure(digraph(elems, [(u, v) for u, v in pairs if u != v]))
+    if any(u != v and (v, u) in closed.edges for u, v in closed.edges):
+        raise CyclicRelation("cyclic relation")
+    return Poset(elems, closed.edges)
+
+
+def label_hamiltonian_paths(g):
+    """All directed Hamiltonian paths of a label digraph; start vertices
+    and extensions follow the declared vertex order."""
+    adj = _adjacency(g)
+    verts = list(g.vertices)
+    paths = []
+    path = []
+    used = set()
+
+    def extend(v):
+        path.append(v)
+        used.add(v)
+        if len(path) == len(verts):
+            paths.append(tuple(path))
+        else:
+            for w in verts:
+                if w not in used and w in adj[v]:
+                    extend(w)
+        path.pop()
+        used.remove(v)
+
+    for s in verts:
+        extend(s)
+    return paths
+
+
+def label_strongly_connected_components(g):
+    """Tarjan's algorithm on a label digraph, iterative: roots in declared
+    vertex order, successors in label order, components in completion
+    order with sorted members."""
+    adj = _adjacency(g)
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    comps = []
+    counter = [0]
+
+    for root in g.vertices:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(adj[root])))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(adj[w]))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def successor_lists(g):
+    """A label digraph as successor lists over the positions of its
+    declared vertices, each list in declared order."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    adj = _adjacency(g)
+    return [sorted(pos[w] for w in adj[v]) for v in g.vertices]
 
 
 def count_hamiltonian_paths(g) -> int:
@@ -147,14 +258,25 @@ def completed_bigraph(b: Bigraph) -> tuple[Bigraph, frozenset]:
     )
 
 
+def _path_to_order(path, c_pairs) -> Order:
+    """Collapse maximal runs of C steps along a path into tie-groups."""
+    groups = [[path[0]]]
+    for a, z in zip(path, path[1:]):
+        if frozenset((a, z)) in c_pairs:
+            groups[-1].append(z)
+        else:
+            groups.append([z])
+    return Order(tuple(tuple(sorted(g)) for g in groups))
+
+
 def completed_bigraph_subbigraphs(b: Bigraph):
     """maximal_circuit_free_subbigraphs by way of the completed bigraph:
-    its mixed adjacency, turned into an edge list and a digraph."""
+    its mixed adjacency, turned into an edge list and a label digraph."""
     filled, _ = completed_bigraph(b)
     adj = _mixed_adjacency(filled)
     walk = digraph(filled.vertices, [(u, v) for u in adj for v in adj[u]])
     seen = {}
-    for p in hamiltonian_paths(walk):
+    for p in label_hamiltonian_paths(walk):
         order = _path_to_order(p, filled.c_edges)
         if order not in seen:
             seen[order] = _compatible_subbigraph(b, order)
@@ -608,7 +730,7 @@ def label_classify_cycles(agg):
                        if u != v and agg.q.entry(u, v) > thr])
     unan = _label_unanimities(agg.q)
     cycles = []
-    for comp in strongly_connected_components(g):
+    for comp in label_strongly_connected_components(g):
         if len(comp) < 2:
             continue
         outside = [u for u in labs if u not in comp]
@@ -666,7 +788,7 @@ def label_condense(agg):
              if a != b and majority(a, b)],
         )
         by_name = {names[b]: b for b in partition}
-        for comp in strongly_connected_components(block_g):
+        for comp in label_strongly_connected_components(block_g):
             if len(comp) < 2:
                 continue
             comp_blocks = [by_name[n] for n in comp]

@@ -598,6 +598,57 @@ def test_module_invocation_smoke():
     assert proc.stdout.strip() == "13"
 
 
+def cli_under_hash_seed(argv, seed):
+    """(exit code, stdout, stderr) of ``python -m preflattice.cli`` on this
+    tree's sources with PYTHONHASHSEED set, which fixes the iteration
+    order of sets and frozensets of strings."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "preflattice.cli", *argv],
+                          capture_output=True, text=True, check=False, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+TWO_CYCLES = {"vertices": list("abcdef"),
+              "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], ["e", "f"], ["f", "d"]]}
+# bob is counted on t2 and t3
+UNMAPPED_EVENTS = """t,subscriber,thread,kind,parent
+1,alice,t2,initiate,
+2,bob,t2,followup,1
+3,alice,t2,ack,2
+4,alice,t3,initiate,
+5,bob,t3,followup,4
+6,alice,t3,ack,5
+"""
+
+
+def test_antichain_names_one_distinct_cycle_pair_under_every_hash_seed(tmp_path):
+    path = write_json(tmp_path / "cyclic.json", TWO_CYCLES)
+    record = {"error": "CyclicRelation", "message": "'a' and 'b' are mutually below each other"}
+    for seed in range(6):
+        assert cli_under_hash_seed(["antichain", path], seed) == (
+            2, "", json.dumps(record) + "\n"), seed
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    events = tmp_path / "events.csv"
+    events.write_text(UNMAPPED_EVENTS, encoding="utf-8")
+    bad_names = write_json(tmp_path / "bad.json", {
+        "threads": {"t2": "a+b"}, "interests": ["a+b", "entry", "x+y"]})
+    unmapped = write_json(tmp_path / "unmapped.json", {"threads": {"t1": "a", "t4": "b"}})
+    calls = [
+        ["aggregate", write_json(tmp_path / "paradox.json", PARADOX)],
+        ["mlorder", write_worked_csv(tmp_path / "worked.csv")],
+        ["antichain", write_json(tmp_path / "cyclic.json", TWO_CYCLES)],
+        ["scenario-newsgroup", str(events), "--interests", bad_names],
+        ["scenario-newsgroup", str(events), "--interests", unmapped],
+    ]
+    for argv in calls:
+        runs = [cli_under_hash_seed(argv, seed) for seed in range(4)]
+        assert runs[1:] == runs[:1] * 3, argv
+
+
 def cli_child(args, **kwargs):
     """``python -m preflattice.cli`` on this tree's sources, with stdout
     block-buffered as it is by default on a pipe."""

@@ -303,6 +303,10 @@ PINNED = [
     (interest_case("a+b"), 2),
     (k_case(float("nan")), 2),
     (k_case(float("inf")), 2),
+    # an integer k is taken as a float: past the float range it is refused,
+    # and within it the thresholds k * d overflow to infinity, not to an error
+    (k_case(10**400), 2),
+    (k_case(10**308), 0),
     # the exact stationary solve is capped at 100 policies
     (case("entropy", "--mode", "markov", "p.json", **{"p.json": json.dumps(
         {"policies": WIDE, "voters": [{"id": "v", "ranking": [WIDE]}]})}), 3),

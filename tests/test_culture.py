@@ -261,6 +261,15 @@ def test_observer_sees_every_period():
     assert seen == list(range(1, res.periods + 1))
 
 
+@pytest.mark.parametrize("window", [3, 2**63])
+def test_variety_trace_holds_the_last_window_of_periods(window):
+    # a window longer than the run, even one past a deque's maxlen, keeps
+    # every period
+    res = run(small_cfg(max_periods=6, stasis_window=window))
+    assert len(res.variety_trace) == min(window, res.periods)
+    assert res.variety_trace == tuple(m.varieties for m in res.series)[-window:]
+
+
 def test_classify_epochs_labels():
     res = run(small_cfg())
     epochs = classify_epochs(res.series)

@@ -20,7 +20,6 @@ from preflattice.graphalg import (
     subset_lattice,
     tg_graph_from_dict,
     tg_connected,
-    transitive_closure,
 )
 
 import worked_example as wx
@@ -29,6 +28,11 @@ from oracles import (
     completed_bigraph_subbigraphs,
     count_hamiltonian_paths,
     has_circuit,
+    label_hamiltonian_paths,
+    label_poset,
+    label_strongly_connected_components,
+    successor_lists,
+    transitive_closure,
     transitive_reduction,
 )
 from preflattice.mlorder import induced_bigraph, raw_estimates
@@ -63,22 +67,19 @@ def test_max_antichain_on_a_crown_past_the_recursion_limit():
 
 def test_hamiltonian_paths_transitive_tournament():
     g = digraph("xyz", [("x", "y"), ("x", "z"), ("y", "z")])
-    paths = list(hamiltonian_paths(g))
-    assert paths == [("x", "y", "z")]
+    assert hamiltonian_paths(successor_lists(g)) == [(0, 1, 2)]
     assert count_hamiltonian_paths(g) == 1
 
 
 def test_hamiltonian_paths_cyclic_tournament():
     g = digraph("xyz", [("x", "y"), ("y", "z"), ("z", "x")])
     assert count_hamiltonian_paths(g) == 3
-    assert len(list(hamiltonian_paths(g))) == 3
+    assert hamiltonian_paths(successor_lists(g)) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
 def test_hamiltonian_cap():
-    labels = [f"v{i}" for i in range(13)]
-    edges = [(labels[i], labels[j]) for i in range(13) for j in range(i + 1, 13)]
     with pytest.raises(CapExceeded):
-        hamiltonian_paths(digraph(labels, edges))
+        hamiltonian_paths([list(range(i + 1, 13)) for i in range(13)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,12 +96,15 @@ def test_tournament_path_count_is_odd(n, rng):
     g = digraph(labels, edges)
     count = count_hamiltonian_paths(g)
     assert count % 2 == 1
-    assert count == len(list(hamiltonian_paths(g)))
+    assert count == len(hamiltonian_paths(successor_lists(g)))
 
 
 def test_poset_rejects_cycles():
     with pytest.raises(CyclicRelation):
         poset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    # the first mutual pair in element order, never one element twice
+    with pytest.raises(CyclicRelation, match="^'b' and 'c' are mutually below"):
+        poset("abcd", [("d", "c"), ("c", "b"), ("b", "d")])
     with pytest.raises(UnknownVertex):
         poset("ab", [("a", "q")])
 
@@ -173,6 +177,12 @@ def test_circuit_detection_mixed_edges():
     assert not has_circuit(b2)
 
 
+def test_bigraph_refuses_a_pair_in_d_both_ways():
+    # the sub-bigraph walk reads a D pair as one arc against it
+    with pytest.raises(InputError, match="both ways"):
+        bigraph("abc", d_edges=[("a", "b"), ("b", "a")])
+
+
 @st.composite
 def bigraphs(draw):
     """Up to 6 vertices; each pair left out, in C, or in D either way."""
@@ -204,9 +214,47 @@ def test_subset_lattice_order():
 
 
 def test_strongly_connected_components():
-    g = digraph("abcd", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")])
-    comps = {frozenset(c) for c in strongly_connected_components(g)}
-    assert comps == {frozenset({"a", "b"}), frozenset({"c"}), frozenset({"d"})}
+    # a <-> b -> c -> d: components complete deepest first, members in
+    # the order they were reached
+    assert strongly_connected_components([[1], [0, 2], [3], []]) == [(3,), (2,), (0, 1)]
+
+
+@st.composite
+def label_digraphs(draw, max_vertices):
+    """Up to max_vertices labels declared in any order, any arc set, self
+    loops included."""
+    labels = draw(st.permutations([f"v{i}" for i in range(draw(st.integers(0, max_vertices)))]))
+    arcs = draw(st.sets(st.tuples(st.sampled_from(labels), st.sampled_from(labels)))
+                if labels else st.just(set()))
+    return digraph(labels, arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_digraphs(9))
+def test_components_match_the_label_tarjan(g):
+    # the label version tries successors in label order
+    succ = [sorted(s, key=g.vertices.__getitem__) for s in successor_lists(g)]
+    comps = [tuple(sorted(g.vertices[v] for v in c)) for c in strongly_connected_components(succ)]
+    assert comps == label_strongly_connected_components(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_digraphs(6))
+def test_hamiltonian_paths_match_the_label_walk(g):
+    paths = [tuple(g.vertices[v] for v in p) for p in hamiltonian_paths(successor_lists(g))]
+    assert paths == label_hamiltonian_paths(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_digraphs(12))
+def test_poset_closure_matches_the_label_closure(g):
+    try:
+        expected = label_poset(g.vertices, g.edges)
+    except CyclicRelation:
+        with pytest.raises(CyclicRelation):
+            poset(g.vertices, g.edges)
+    else:
+        assert poset(g.vertices, g.edges) == expected
 
 
 TG_FIXTURE = {

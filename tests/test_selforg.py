@@ -528,6 +528,26 @@ def test_extract_prefs_unmapped_thread():
         extract_prefs(ledger, {"m1": "a"})
 
 
+def test_extract_prefs_names_the_least_unmapped_thread():
+    # bob is counted on 30 unmapped threads; the record names the least of
+    # them, whatever order his thread set iterates in
+    events = []
+    for k, thread in enumerate(f"t{i}" for i in range(30, 0, -1)):
+        t = 3 * k
+        events += [E(t=t + 1, subscriber="alice", thread=thread, kind="initiate"),
+                   E(t=t + 2, subscriber="bob", thread=thread, kind="followup", parent=t + 1),
+                   E(t=t + 3, subscriber="alice", thread=thread, kind="ack", parent=t + 2)]
+    with pytest.raises(UnmappedThread, match="^thread 't1' is not mapped"):
+        extract_prefs(validate_protocol(events), {"m1": "a"})
+
+
+def test_interest_names_are_checked_in_sorted_order():
+    with pytest.raises(InputError, match="must not be empty"):
+        selforg.check_interest_names(["a+b", "entry", "x+y", ""])
+    with pytest.raises(InputError, match="'a\\+b' contains"):
+        selforg.check_interest_names(["x+y", "entry", "a+b"])
+
+
 @settings(max_examples=100, deadline=None)
 @given(protocol_events(), st.lists(st.sampled_from("abcd"), min_size=3, max_size=3),
        st.one_of(st.none(), st.lists(st.sampled_from("abcdef"), unique=True)))
