@@ -237,64 +237,52 @@ def condense(agg: AggregateReach) -> CondensedGraph:
 
     Each round merges the first dominated or dominating majority cycle
     (complete cycles stay) or, when there is none, the first simple or
-    compound-simple unanimity component. Cycle-produced super-vertices
-    never take part in later unanimity merges, and complex unanimity
-    components are never merged; both situations are reported once each
-    in ``overlaps`` when they block a merge. All lifts are universal: a
-    block-level relation holds only when every cross pair of original
-    vertices has it. Majority means more than half the voters, so an
-    exact tie gives no direction.
+    compound-simple unanimity component. A block made by a cycle (its
+    rule ends in "-cycle") never takes part in a later unanimity merge,
+    and complex unanimity components are never merged; both situations
+    are reported once each in ``overlaps`` when they block a merge. A
+    merged block replaces its members at the end of the block list. All
+    lifts are universal: a block-level relation holds only when every
+    cross pair of original vertices has it. Majority means more than half
+    the voters, so an exact tie gives no direction.
     """
     labs = agg.q.labels
     unanimous, majority = _unanimous(agg), _majority(agg)
-    partition = [frozenset((i,)) for i in range(len(labs))]  # of label indices
-    rules = {b: "singleton" for b in partition}
-    frozen = set()
+    blocks = [((i,), "singleton") for i in range(len(labs))]  # (label indices, rule)
     overlaps = {}  # (members, reason) -> None, in order of first report
-
-    def merge(blocks_to_join, rule):
-        nonlocal partition
-        merged = frozenset().union(*blocks_to_join)
-        partition = [b for b in partition if b not in blocks_to_join]
-        partition.append(merged)
-        for b in blocks_to_join:
-            rules.pop(b, None)
-        rules[merged] = rule
-        return merged
-
-    changed = True
-    while changed:
+    while True:
         # the block relations of this round; a block is named by its least label
-        names = [min(labs[x] for x in b) for b in partition]
-        majority_table = _lift(majority, partition)
-        unan_table = _lift(unanimous, partition)
-        for members, kind, *_ in _cycles(majority_table, unan_table, names):
-            if kind in ("dominated", "dominating"):
-                frozen.add(merge([partition[i] for i in members], f"{kind}-cycle"))
-                break
-        else:
-            changed = False
+        names = [min(labs[x] for x in b) for b, _ in blocks]
+        majority_table = _lift(majority, [b for b, _ in blocks])
+        unan_table = _lift(unanimous, [b for b, _ in blocks])
+        merge = next(((members, f"{kind}-cycle")
+                      for members, kind, *_ in _cycles(majority_table, unan_table, names)
+                      if kind in ("dominated", "dominating")), None)
+        if merge is None:
             for members, cls in _unanimity_components(unan_table):
-                comp_blocks = [partition[i] for i in members]
-                if any(b in frozen for b in comp_blocks):
-                    flat = tuple(sorted(labs[x] for b in comp_blocks for x in b))
+                if any(blocks[i][1].endswith("-cycle") for i in members):
+                    flat = tuple(sorted(labs[x] for i in members for x in blocks[i][0]))
                     reason = ("complex-unanimity-overlaps-cycle" if cls == "complex"
                               else "unanimity-blocked-by-cycle-block")
                     overlaps[(flat, reason)] = None
                 elif cls != "complex":
-                    merge(comp_blocks, f"{cls}-unanimity")
-                    changed = True
+                    merge = (members, f"{cls}-unanimity")
                     break
+        if merge is None:
+            break
+        members, rule = merge
+        joined = tuple(x for i in members for x in blocks[i][0])
+        blocks = [blk for i, blk in enumerate(blocks) if i not in members] + [(joined, rule)]
 
     # blocks in order of their least label, expanded to original policies;
     # sorting the re-indexed pairs lists the edges row-major
-    order = sorted(range(len(partition)), key=names.__getitem__)
+    order = sorted(range(len(blocks)), key=names.__getitem__)
     rank = {i: r for r, i in enumerate(order)}
     final_blocks = []
     final_rules = []
     for i in order:
-        originals = tuple(sorted(x for lab in partition[i] for x in agg.blocks[lab]))
-        rule = rules[partition[i]]
+        members, rule = blocks[i]
+        originals = tuple(sorted(x for lab in members for x in agg.blocks[lab]))
         if rule == "singleton" and len(originals) > 1:
             rule = "merged-indifference"
         final_blocks.append(originals)

@@ -238,22 +238,23 @@ class Bigraph:
         known = set(self.vertices)
         if len(known) != len(self.vertices):
             raise DuplicateLabel("duplicate bigraph vertex")
-        unordered_d = set()
-        for u, v in self.d_edges:
+        # edges are checked in sorted order, so a message names the least offender
+        unordered_d = set()  # of sorted pairs
+        for u, v in sorted(self.d_edges):
             if u == v:
                 raise InputError(f"self-loop {u!r} in D")
             if u not in known or v not in known:
                 raise UnknownLabel(f"edge ({u!r},{v!r}) uses unknown vertex")
             if (v, u) in self.d_edges:
                 raise InputError(f"D joins {u!r} and {v!r} both ways")
-            unordered_d.add(frozenset((u, v)))
-        for pair in self.c_edges:
+            unordered_d.add(tuple(sorted((u, v))))
+        for pair in sorted(tuple(sorted(p)) for p in self.c_edges):
             if len(pair) != 2:
                 raise InputError("C edges join two distinct vertices")
-            if not pair <= known:
-                raise UnknownLabel(f"C edge {set(pair)!r} uses unknown vertex")
+            if not known.issuperset(pair):
+                raise UnknownLabel(f"C edge {pair!r} uses unknown vertex")
             if pair in unordered_d:
-                raise InputError(f"pair {set(pair)!r} is in both C and D")
+                raise InputError(f"pair {pair!r} is in both C and D")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from .graphalg import subset_lattice
 BEHAVIORS = ("Egoistic", "PeerPossible")
 INIT_MODES = ("uniform", "dice-mix")
 MAX_AGENTS = 1_000_000  # a 1000 x 1000 square: about 1.7 s and 333 MB to build on a 2-core host
+# selections per run: MAX_AGENTS agents for the default 1000 periods
+MAX_SELECTIONS = 10**9
 
 
 @dataclass(frozen=True)
@@ -615,7 +617,9 @@ def make_field(cfg: CultureConfig, rng: random.Random, initial=None) -> Field:
 def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     """Run one seeded simulation to stasis or the period limit.
 
-    A period is selections_per_period attempts (default: one per agent).
+    A period is selections_per_period attempts (default: one per agent);
+    a run of more than MAX_SELECTIONS attempts in all is refused before
+    its first period.
     Stasis means a full window of periods with zero interactions and an
     unchanged variety count; otherwise the run stops at max_periods with
     status "limit" and the final window's variety counts attached.
@@ -630,6 +634,9 @@ def run(cfg: CultureConfig, initial=None, observer=None) -> RunResult:
     thr = [math.inf] + [k * d + epsilon for d in range(1, cfg.n_features)] + [math.inf]
     peer = cfg.behavior == "PeerPossible"
     selections = cfg.selections_per_period or fieldstate.size
+    if selections * cfg.max_periods > MAX_SELECTIONS:
+        raise CapExceeded(f"a run of up to {selections * cfg.max_periods} selections "
+                          f"exceeds the cap of {MAX_SELECTIONS}")
     window = cfg.stasis_window
     rejected = [0] * (cfg.n_features + 1)
     no_seconder_total = 0

@@ -36,7 +36,7 @@ class Digraph:
         known = set(self.vertices)
         if len(known) != len(self.vertices):
             raise InputError("duplicate digraph vertex")
-        for u, v in self.edges:
+        for u, v in sorted(self.edges):  # sorted, so the message names the least offender
             if u not in known or v not in known:
                 raise UnknownVertex(f"edge ({u!r},{v!r}) uses unknown vertex")
 

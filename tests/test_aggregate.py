@@ -181,6 +181,21 @@ def test_condense_reports_each_blocked_component_once():
     assert cg.overlaps == ((("a", "b", "c", "d"), "unanimity-blocked-by-cycle-block"),)
 
 
+def test_condense_keeps_a_dominating_cycle_block_out_of_unanimity_merges():
+    # the cycle a..f sits unanimously above g and merges first; it and g
+    # then form a simple unanimity component that the cycle block blocks
+    p = profile_from_dict({
+        "policies": list("abcdefg"),
+        "voters": [{"id": f"v{i}", "ranking": [[x] for x in r]}
+                   for i, r in enumerate(["eabcdfg", "afcbdeg", "dbeafcg"])],
+    })
+    agg, _ = aggregate_reach(p)
+    cg = condense(agg)
+    assert cg.blocks == (tuple("abcdef"), ("g",))
+    assert cg.rules == ("dominating-cycle", "singleton")
+    assert cg.overlaps == ((tuple("abcdefg"), "unanimity-blocked-by-cycle-block"),)
+
+
 def test_borda_scores(borda4, borda3):
     assert borda_scores(borda4) == {"w": 9, "x": 8, "y": 8, "z": 5}
     assert borda_scores(borda3) == {"w": 7, "y": 7, "z": 4}

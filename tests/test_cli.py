@@ -598,16 +598,20 @@ def test_module_invocation_smoke():
     assert proc.stdout.strip() == "13"
 
 
-def cli_under_hash_seed(argv, seed):
-    """(exit code, stdout, stderr) of ``python -m preflattice.cli`` on this
-    tree's sources with PYTHONHASHSEED set, which fixes the iteration
-    order of sets and frozensets of strings."""
+def python_under_hash_seed(args, seed):
+    """(exit code, stdout, stderr) of ``python *args`` on this tree's
+    sources with PYTHONHASHSEED set, which fixes the iteration order of
+    sets and frozensets of strings."""
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-m", "preflattice.cli", *argv],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, check=False, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def cli_under_hash_seed(argv, seed):
+    return python_under_hash_seed(["-m", "preflattice.cli", *argv], seed)
 
 
 TWO_CYCLES = {"vertices": list("abcdef"),
@@ -647,6 +651,34 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
     for argv in calls:
         runs = [cli_under_hash_seed(argv, seed) for seed in range(4)]
         assert runs[1:] == runs[:1] * 3, argv
+
+
+# bad library inputs with two offenders each; each prints (type, message)
+BAD_LIBRARY_INPUTS = """
+from preflattice.core import Bigraph
+from preflattice.graphalg import digraph
+pairs = frozenset({frozenset("ab"), frozenset("cd")})
+cases = [
+    lambda: Bigraph(tuple("abcd"), frozenset({("a", "b"), ("d", "c")}), pairs),
+    lambda: Bigraph(tuple("ab"), frozenset(), frozenset({frozenset("yb"), frozenset("xa")})),
+    lambda: Bigraph(tuple("a"), frozenset({("a", "c"), ("a", "b")}), frozenset()),
+    lambda: digraph(["a"], [("a", "b"), ("a", "c"), ("d", "a")]),
+]
+for make in cases:
+    try:
+        make()
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_library_messages_do_not_depend_on_the_hash_seed():
+    runs = [python_under_hash_seed(["-c", BAD_LIBRARY_INPUTS], seed) for seed in range(4)]
+    assert runs[1:] == runs[:1] * 3
+    assert runs[0] == (0, "InputError pair ('a', 'b') is in both C and D\n"
+                          "UnknownLabel C edge ('a', 'x') uses unknown vertex\n"
+                          "UnknownLabel edge ('a','b') uses unknown vertex\n"
+                          "UnknownVertex edge ('a','b') uses unknown vertex\n", "")
 
 
 def cli_child(args, **kwargs):

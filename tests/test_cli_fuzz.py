@@ -307,6 +307,11 @@ PINNED = [
     # and within it the thresholds k * d overflow to infinity, not to an error
     (k_case(10**400), 2),
     (k_case(10**308), 0),
+    # a run is capped at MAX_SELECTIONS selections in all
+    (case("simulate", "s.json", **{"s.json": json.dumps({
+        "n_features": 2, "traits_per_feature": 2,
+        "topology": {"kind": "square", "rows": 3, "cols": 3},
+        "selections_per_period": 10**12, "max_periods": 1})}), 3),
     # the exact stationary solve is capped at 100 policies
     (case("entropy", "--mode", "markov", "p.json", **{"p.json": json.dumps(
         {"policies": WIDE, "voters": [{"id": "v", "ranking": [WIDE]}]})}), 3),

@@ -109,6 +109,23 @@ def test_agent_cap_is_checked_before_building(monkeypatch):
             build(*sizes)
 
 
+def test_selection_cap_is_checked_before_the_first_period(monkeypatch):
+    seen = []
+    with pytest.raises(CapExceeded):
+        run(small_cfg(topology={"kind": "square", "rows": 3, "cols": 3},
+                      selections_per_period=10**12, max_periods=1),
+            observer=lambda t, f: seen.append(t))
+    # 16 agents make 16 selections a period by default; the vertex cap
+    # does not lift the selection cap
+    monkeypatch.setattr(culture, "MAX_SELECTIONS", 16 * 200)
+    monkeypatch.setenv("PREFLATTICE_MAX_VERTICES", str(10**12))
+    assert run(small_cfg(stasis_window=10**6)).selections_total == 16 * 200
+    for cfg in [small_cfg(max_periods=201), small_cfg(selections_per_period=17)]:
+        with pytest.raises(CapExceeded):
+            run(cfg, observer=lambda t, f: seen.append(t))
+    assert seen == []
+
+
 def test_interaction_needs_partial_overlap():
     cfg = small_cfg()
     assert not interaction_allowed([1, 1, 1], [1, 1, 1], cfg, draw=0.99)
