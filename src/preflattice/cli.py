@@ -31,6 +31,7 @@ from .core import (
 )
 from .culture import build_topology, config_from_dict, run_replicates, snapshot
 from .entropy import (
+    _cap_states,
     markov_aggregate,
     markov_order,
     shannon_entropy,
@@ -148,6 +149,7 @@ def cmd_entropy(args) -> int:
     if args.mode == "topo":
         ev = topological_entropy(profile)
         return _emit({"lambda": ev.radius, "entropy": ev.value, "base": ev.base})
+    _cap_states(len(profile.policies))  # before the k x k chain is built
     chain = markov_aggregate(profile)
     sr = stationary_distribution(chain)
     h = shannon_entropy(sr.distribution, base=len(sr.labels))

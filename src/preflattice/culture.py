@@ -3,7 +3,9 @@
 Agents carry trait vectors, each held as one packed int (TraitCodec);
 each selection picks an agent, one of its neighbors, and a chance draw, and
 on a pass the agent copies one differing trait from the neighbor (Egoistic)
-or does so only with a seconding neighbor (PeerPossible). Activity, variety
+or does so only with a seconding neighbor (PeerPossible). An agent one
+feature from its donor takes the donor's code whole, and a neighbor whose
+code equals the agent's seconds without a mask test. Activity, variety
 entropy, and compatibility entropy are sampled per period until stasis or a
 period limit. Compatibility entropy counts the compatible variety pairs per
 pair of population classes, testing one code against a whole class packed
@@ -362,7 +364,11 @@ def _sweep(codes, hoods, selections, thr, peer, rng, codec, rejected):
         lacking the candidate trait.
 
     Without one, no copy happens and the selection is not an interaction.
-    Every test is one mask operation on the codes (see TraitCodec).
+    Every test is one mask operation on the codes (see TraitCodec). At
+    d = 1 the one differing feature is the copied one, so the agent takes
+    the donor's code. A neighbor whose code equals the agent's always
+    seconds by (b), since d < n, and is taken before its mask is built.
+    The donor is scanned with the rest: it meets neither rule.
     Bounded draws repeat ``Random.randrange``: ``getrandbits`` of the
     bound's bit length, redrawn while out of range, so the stream is the
     one a per-selection ``randrange`` loop consumes.
@@ -382,41 +388,52 @@ def _sweep(codes, hoods, selections, thr, peer, rng, codec, rejected):
         j = getrandbits(nbits)
         while j >= m:
             j = getrandbits(nbits)
-        z_idx = nbrs[j]
+        z = codes[nbrs[j]]
         draw = chance()
         x = codes[x_idx]
-        z = codes[z_idx]
         if x == z:
             continue  # an identical pair (d = 0), tallied after the loop
-        differ = (x ^ z) + ones & guards
+        xz = x ^ z
+        differ = xz + ones & guards
         d = differ.bit_count()
         if not thr[d] < draw:
             rejected[d] += 1
             continue
-        nbits = d.bit_length()
-        j = getrandbits(nbits)
-        while j >= d:
-            j = getrandbits(nbits)
-        rest = differ
-        for _ in range(j):
-            rest &= rest - 1
-        guard = rest & -rest
-        trait_bits = guard - (guard >> bits)  # the chosen feature's field
+        if d == 1:
+            while getrandbits(1):  # randrange(1), redrawn while it reads 1
+                pass
+            guard = differ
+            new = z
+        else:
+            nbits = d.bit_length()
+            k = getrandbits(nbits)
+            while k >= d:
+                k = getrandbits(nbits)
+            guard = differ
+            while k:
+                guard &= guard - 1
+                k -= 1
+            guard &= -guard  # the chosen feature's guard bit
+            new = x ^ xz & guard - (guard >> bits)
         if peer:
+            # y_differ marks the features y differs from the donor on: (b) y
+            # lacks the candidate trait and shares some trait, (a) y holds
+            # it and differs on a shared feature
             shared = guards ^ differ
             for y_idx in nbrs:
-                if y_idx == z_idx:
-                    continue
-                yz = codes[y_idx] ^ z
-                if yz & trait_bits:
-                    if yz + ones & guards != guards:
+                y = codes[y_idx]
+                if y == x:
+                    break
+                y_differ = (y ^ z) + ones & guards
+                if y_differ & guard:
+                    if y_differ != guards:
                         break
-                elif yz + ones & shared:
+                elif y_differ & shared:
                     break
             else:
                 no_seconder += 1
                 continue
-        codes[x_idx] = x ^ (x ^ z) & trait_bits
+        codes[x_idx] = new
         interactions += 1
     refused = sum(rejected) - refused_before
     rejected[0] += selections - interactions - no_seconder - refused

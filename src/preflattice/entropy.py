@@ -150,6 +150,15 @@ def markov_aggregate(profile: Profile, mode: str = "climb-one-rung") -> LabeledM
     return LabeledMatrix(labels, tuple(tuple(x * share for x in row) for row in acc))
 
 
+def _cap_states(n: int) -> None:
+    """Refuse a stationary solve over more than STATIONARY_MAX_DIM states;
+    the CLI calls it before building the chain, too."""
+    if n > STATIONARY_MAX_DIM:
+        raise CapExceeded(
+            f"stationary distribution needs at most {STATIONARY_MAX_DIM} states, got {n}"
+        )
+
+
 def _bareiss_solve(a, b):
     """Solve a x = b for a nonsingular integer matrix a and integer vector
     b without leaving the integers: fraction-free Gauss-Jordan elimination
@@ -166,7 +175,6 @@ def _bareiss_solve(a, b):
         for i, row in enumerate(rows):
             if i != k:
                 f = row[k]
-                row[k] = 0
                 for j in range(k + 1, n + 1):
                     row[j] = (pk * row[j] - f * pivot[j]) // prev
         prev = pk
@@ -190,10 +198,7 @@ def stationary_distribution(m: LabeledMatrix) -> StationaryResult:
     first divided by its exact sum. Entries are Fractions.
     """
     n = len(m.rows)
-    if n > STATIONARY_MAX_DIM:
-        raise CapExceeded(
-            f"stationary distribution needs at most {STATIONARY_MAX_DIM} states, got {n}"
-        )
+    _cap_states(n)
     rows = []
     for row in m.rows:
         row = [Fraction(x) for x in row]

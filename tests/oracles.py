@@ -8,8 +8,9 @@ enumeration, a reachability test for circuit-freeness of sub-bigraphs, the
 sub-bigraphs found through the completed bigraph, the subset tree over
 frozensets and the group topology by testing every pair of interest sets,
 the pass test of one selection for the simulator's fused sweep, the
-compatibility entropy in 40-digit decimals with one term per compatible
-pair, and the Cesàro limit of a Markov chain for the stationary
+packed sweep with one two-case mask test per neighbor and no distance-1
+branch, the compatibility entropy in 40-digit decimals with one term per
+compatible pair, and the Cesàro limit of a Markov chain for the stationary
 distribution, by projector equations over the rationals and by
 absorbing-chain solves in floats. For the newsgroup scenario: the posting
 protocol over dicts keyed by event, one two-ply order built per
@@ -348,6 +349,87 @@ def interaction_allowed(x, y, cfg, draw: float) -> bool:
         return False
     d = cfg.n_features - s
     return cfg.k_effective * d + cfg.epsilon < draw
+
+
+def packed_sweep(codes, hoods, selections, thr, peer, rng, codec, rejected):
+    """One period of selections on the packed agents, in place; returns
+    (interactions, passed selections without a seconder) and adds each
+    pass-test refusal to ``rejected[d]``. ``hoods`` holds, per agent, its
+    neighbors, their count and the count's bit length.
+
+    Each selection draws an agent, one of its neighbors and a chance
+    ``draw``; it passes when ``thr[d] < draw`` for the pair's distance d
+    (``thr`` is infinite at d = 0 and d = n, which need at least one shared
+    and one differing feature). A pass draws the differing feature to copy,
+    the j-th in feature order. Under PeerPossible the copy also needs a
+    seconder among the agent's other neighbors, checked before the copy:
+
+    (a) the seconder already holds the candidate trait on the chosen
+        feature and differs from the donor on some feature the agent and
+        donor share, or
+    (b) the seconder shares at least one trait with the donor while
+        lacking the candidate trait.
+
+    Without one, no copy happens and the selection is not an interaction.
+    Every test is one mask operation on the codes (see TraitCodec).
+    Bounded draws repeat ``Random.randrange``: ``getrandbits`` of the
+    bound's bit length, redrawn while out of range, so the stream is the
+    one a per-selection ``randrange`` loop consumes.
+    """
+    getrandbits = rng.getrandbits
+    chance = rng.random
+    size = len(codes)
+    size_bits = size.bit_length()
+    ones, guards, bits = codec.ones, codec.guards, codec.bits
+    refused_before = sum(rejected)
+    interactions = no_seconder = 0
+    for _ in range(selections):
+        x_idx = getrandbits(size_bits)
+        while x_idx >= size:
+            x_idx = getrandbits(size_bits)
+        nbrs, m, nbits = hoods[x_idx]
+        j = getrandbits(nbits)
+        while j >= m:
+            j = getrandbits(nbits)
+        z_idx = nbrs[j]
+        draw = chance()
+        x = codes[x_idx]
+        z = codes[z_idx]
+        if x == z:
+            continue  # an identical pair (d = 0), tallied after the loop
+        differ = (x ^ z) + ones & guards
+        d = differ.bit_count()
+        if not thr[d] < draw:
+            rejected[d] += 1
+            continue
+        nbits = d.bit_length()
+        j = getrandbits(nbits)
+        while j >= d:
+            j = getrandbits(nbits)
+        rest = differ
+        for _ in range(j):
+            rest &= rest - 1
+        guard = rest & -rest
+        trait_bits = guard - (guard >> bits)  # the chosen feature's field
+        if peer:
+            shared = guards ^ differ
+            for y_idx in nbrs:
+                if y_idx == z_idx:
+                    continue
+                yz = codes[y_idx] ^ z
+                if yz & trait_bits:
+                    if yz + ones & guards != guards:
+                        break
+                elif yz + ones & shared:
+                    break
+            else:
+                no_seconder += 1
+                continue
+        codes[x_idx] = x ^ (x ^ z) & trait_bits
+        interactions += 1
+    refused = sum(rejected) - refused_before
+    rejected[0] += selections - interactions - no_seconder - refused
+    return interactions, no_seconder
 
 
 def compatibility_entropy_decimal(agents) -> float:

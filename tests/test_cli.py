@@ -519,6 +519,24 @@ def test_scenario_newsgroup_names_the_bad_event_line(tmp_path, capsys):
     }
 
 
+def test_entropy_markov_refuses_many_policies_before_the_chain(tmp_path, capsys, monkeypatch):
+    def no_chain(*_):
+        raise AssertionError("markov_aggregate called before the state cap")
+
+    monkeypatch.setattr(cli, "markov_aggregate", no_chain)
+    policies = [f"p{i}" for i in range(1000)]
+    path = write_json(tmp_path / "profile.json",
+                      {"policies": policies, "voters": [{"id": "v", "ranking": [policies]}]})
+    start = time.perf_counter()
+    rc, out, err = run_cli(["entropy", "--mode", "markov", path], capsys)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "CapExceeded",
+        "message": "stationary distribution needs at most 100 states, got 1000",
+    }
+
+
 def test_scenario_newsgroup_refuses_many_interests_before_the_topology(
     tmp_path, capsys, monkeypatch
 ):

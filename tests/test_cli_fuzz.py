@@ -290,6 +290,7 @@ def k_case(k):
 
 COMPARISONS = "i,j,outcome\n1,2,>\n"
 WIDE = [f"p{i}" for i in range(101)]
+WIDER = [f"p{i}" for i in range(1000)]
 BIG_FIELD = '"' + "x" * 140_000 + '"'
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 LONG_INT_JSON = "1" * 5000
@@ -312,9 +313,11 @@ PINNED = [
         "n_features": 2, "traits_per_feature": 2,
         "topology": {"kind": "square", "rows": 3, "cols": 3},
         "selections_per_period": 10**12, "max_periods": 1})}), 3),
-    # the exact stationary solve is capped at 100 policies
-    (case("entropy", "--mode", "markov", "p.json", **{"p.json": json.dumps(
-        {"policies": WIDE, "voters": [{"id": "v", "ranking": [WIDE]}]})}), 3),
+    # the exact stationary solve is capped at 100 policies, checked before
+    # the chain is built
+    *[(case("entropy", "--mode", "markov", "p.json", **{"p.json": json.dumps(
+        {"policies": wide, "voters": [{"id": "v", "ranking": [wide]}]})}), 3)
+      for wide in (WIDE, WIDER)],
     # found by the fuzz tests below
     (case("antichain", "g.json", **{"g.json": json.dumps({"vertices": [], "edges": [[]]})}), 2),
     (case("mlorder", "c.csv", "--candidates", "k.json",

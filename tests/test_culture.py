@@ -12,6 +12,7 @@ from preflattice.culture import (
     CultureConfig,
     Field,
     MetricsSample,
+    Topology,
     TraitCodec,
     _compatible_class_pairs,
     _compatible_variety_pairs,
@@ -36,6 +37,7 @@ from oracles import (
     compatibility_entropy_decimal,
     frozenset_subset_tree_topology,
     interaction_allowed,
+    packed_sweep,
     similarity,
 )
 
@@ -446,6 +448,74 @@ def test_run_matches_reference_at_the_bit_width_edges(q, behavior):
     assert max(map(max, initial)) == q - 1
     res = assert_run_matches_reference(cfg, initial)
     assert res.interactions_total > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_matches_reference_with_two_varieties_a_feature_apart(seed):
+    # every pass is at d = 1, and a neighbor seconds only when its code is
+    # the agent's: the other variety is the donor's
+    cfg = CultureConfig(n_features=4, traits_per_feature=3,
+                        topology={"kind": "mobian-circle", "agents": 24, "turn": 4},
+                        behavior="PeerPossible", seed=seed, max_periods=20, stasis_window=20)
+    rng = random.Random(seed)
+    initial = [rng.choice(([0, 1, 2, 0], [0, 1, 2, 1])) for _ in range(24)]
+    res = assert_run_matches_reference(cfg, initial)
+    assert res.interactions_total > 0 and res.no_seconder > 0
+    assert res.rejected[2:] == (0, 0, 0)
+
+
+# a hand-built topology in which neighbors repeat: agent 2 lists both others
+# twice, and agents 0 and 1 list it twice, so a donor's copy is scanned for a
+# seconder
+REPEATED = Topology("repeated", ((1, 2, 2), (0, 2, 2), (0, 0, 1, 1)), ((0, 0), (0, 1), (0, 2)))
+SWEEP_TOPOLOGIES = st.sampled_from([
+    square_topology(1, 2),  # the donor is the only neighbor, and it never seconds
+    square_topology(3, 3),
+    mobian_circle_topology(12, 3),
+    subset_tree_topology(3),
+    REPEATED,
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    q=st.sampled_from([2, 12, 16, 17]),
+    topo=SWEEP_TOPOLOGIES,
+    peer=st.booleans(),
+    k=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    seed=st.integers(0, 2**32),
+    selections=st.integers(1, 300),
+    data=st.data(),
+)
+def test_sweep_draws_the_stream_of_the_packed_oracle(n, q, topo, peer, k, seed, selections,
+                                                      data):
+    # 2-4 codes, each taking every feature from one of two vectors that
+    # differ on every feature, so that distance-1 pairs and seconders equal
+    # to the agent are common
+    base = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    shift = data.draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    alt = [(b + s) % q for b, s in zip(base, shift)]
+    picks = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=2,
+                               max_size=min(4, 2 ** n), unique=True))
+    codec = TraitCodec(n, q)
+    pool = [codec.pack([alt[f] if pick >> f & 1 else base[f] for f in range(n)])
+            for pick in picks]
+    # every agent holds one of them, and the first two are both held
+    held = [0, 1] + data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                       min_size=topo.size - 2, max_size=topo.size - 2))
+    codes = [pool[held[i]] for i in data.draw(st.permutations(range(topo.size)))]
+    thr = [math.inf] + [k * d for d in range(1, n)] + [math.inf]
+    old_codes, old_rejected, old_rng = list(codes), [0] * (n + 1), random.Random(seed)
+    new_codes, new_rejected, new_rng = list(codes), [0] * (n + 1), random.Random(seed)
+    hoods = [(nbrs, len(nbrs), len(nbrs).bit_length()) for nbrs in topo.neighbors]
+    old = packed_sweep(old_codes, hoods, selections, thr, peer, old_rng, codec, old_rejected)
+    new = culture._sweep(new_codes, hoods, selections, thr, peer, new_rng, codec, new_rejected)
+    assert new == old
+    assert new_codes == old_codes
+    assert new_rejected == old_rejected
+    assert new_rng.getstate() == old_rng.getstate()
+
 
 def bucket_pairs(counts):
     """Compatible variety pairs by bucketing on (feature, trait)."""
