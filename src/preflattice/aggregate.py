@@ -32,7 +32,6 @@ class UnanimityReport:
     classification: dict  # pair -> "simple" | "compound-simple" | "complex"
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
-    weights: dict  # ordered pair -> (for_count, against_count)
 
 
 @dataclass
@@ -174,18 +173,11 @@ def aggregate_reach(profile: Profile):
     sinks = tuple(
         labels[i] for i in range(k) if all(counts[i][j] == 0 for j in range(k))
     )
-    weights = {
-        (labels[i], labels[j]): (counts[i][j], counts[j][i])
-        for i in range(k)
-        for j in range(k)
-        if i != j
-    }
     report = UnanimityReport(
         unanimities=unan,
         classification=classification,
         sources=sources,
         sinks=sinks,
-        weights=weights,
     )
     return agg, report
 

@@ -181,10 +181,11 @@ def strongly_connected_components(succ):
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite partial order; ``below`` holds the strict pairs (u, v) = u < v."""
+    """A finite partial order: bit j of ``reach[i]`` is set when element i
+    is strictly below element j."""
 
     elements: tuple[str, ...]
-    below: frozenset
+    reach: tuple[int, ...]
 
 
 def poset(elements, pairs) -> Poset:
@@ -196,7 +197,7 @@ def poset(elements, pairs) -> Poset:
     pos = {e: i for i, e in enumerate(elems)}
     if len(pos) != len(elems):
         raise InputError("duplicate poset element")
-    reach = [0] * len(elems)  # bit j of reach[i]: element i is below element j
+    reach = [0] * len(elems)
     for u, v in pairs:
         if u not in pos or v not in pos:
             raise UnknownVertex(f"pair ({u!r},{v!r}) uses unknown element")
@@ -207,16 +208,14 @@ def poset(elements, pairs) -> Poset:
         for i, r in enumerate(reach):
             if r & bit:
                 reach[i] = r | rk
-    below = []
+    # self-pairs were dropped, so an element below itself lies on a cycle
     for i, r in enumerate(reach):
-        for j, x in enumerate(bin(r)[:1:-1]):
-            if x == "1" and j != i:
-                if reach[j] >> i & 1:
-                    raise CyclicRelation(
-                        f"{elems[i]!r} and {elems[j]!r} are mutually below each other"
-                    )
-                below.append((elems[i], elems[j]))
-    return Poset(elems, frozenset(below))
+        if r >> i & 1:
+            j = next(j for j, s in enumerate(reach) if j != i and r >> j & 1 and s >> i & 1)
+            raise CyclicRelation(
+                f"{elems[i]!r} and {elems[j]!r} are mutually below each other"
+            )
+    return Poset(elems, tuple(reach))
 
 
 def max_antichain(p: Poset):
@@ -227,43 +226,36 @@ def max_antichain(p: Poset):
     yields n - |matching| chains; the complement of a minimum vertex cover
     gives an antichain of the same size.
     """
-    elems = list(p.elements)
-    idx = {e: i for i, e in enumerate(elems)}
+    elems, reach = p.elements, p.reach
     n = len(elems)
-    succ = [[] for _ in range(n)]
-    for u, v in p.below:
-        succ[idx[u]].append(idx[v])
-    for s in succ:
-        s.sort()
-
     match_right = [None] * n  # right vertex -> matched left vertex
     match_left = [None] * n
 
     # augmenting paths by depth-first search, iterative so that a long path
-    # cannot overflow the stack: one frame per left vertex on the path, with
-    # its untried successors, and the right vertex each frame has taken
+    # cannot overflow the stack: the left vertices on the path, and the
+    # right vertex each has taken; a left vertex's next successor is the
+    # lowest bit of its reach row not yet visited
     for root in range(n):
-        visited = [False] * n
-        frames = [(root, iter(succ[root]))]
+        visited = 0
+        path = [root]
         taken = []
-        while frames:
-            for v in frames[-1][1]:
-                if not visited[v]:
-                    visited[v] = True
-                    break
-            else:
-                frames.pop()
+        while path:
+            free = reach[path[-1]] & ~visited
+            if not free:
+                path.pop()
                 if taken:
                     taken.pop()
                 continue
+            v = (free & -free).bit_length() - 1
+            visited |= 1 << v
             taken.append(v)
             w = match_right[v]
             if w is None:
-                for (u, _), v in zip(frames, taken):
+                for u, v in zip(path, taken):
                     match_right[v] = u
                     match_left[u] = v
                 break
-            frames.append((w, iter(succ[w])))
+            path.append(w)
 
     # chains: follow matched successors from chain heads
     heads = [v for v in range(n) if match_right[v] is None]
@@ -274,25 +266,24 @@ def max_antichain(p: Poset):
             chain.append(match_left[chain[-1]])
         chains.append([elems[i] for i in chain])
 
-    # Koenig: alternate from unmatched left vertices; cover = (L not reached) + (R reached)
-    reached_left = [False] * n
-    reached_right = [False] * n
+    # Koenig: alternate from unmatched left vertices; cover = (L not reached) + (R reached).
+    # Each right vertex is reached once, so its matched left vertex is too.
     frontier = [u for u in range(n) if match_left[u] is None]
-    for u in frontier:
-        reached_left[u] = True
+    reached_left = [w is None for w in match_left]
+    reached_right = 0
     while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ[u]:
-                if not reached_right[v]:
-                    reached_right[v] = True
-                    w = match_right[v]
-                    if w is not None and not reached_left[w]:
-                        reached_left[w] = True
-                        nxt.append(w)
-        frontier = nxt
+        u = frontier.pop()
+        new = reach[u] & ~reached_right
+        reached_right |= new
+        while new:
+            low = new & -new
+            new ^= low
+            w = match_right[low.bit_length() - 1]
+            if w is not None:
+                reached_left[w] = True
+                frontier.append(w)
     antichain = [
-        elems[i] for i in range(n) if reached_left[i] and not reached_right[i]
+        elems[i] for i in range(n) if reached_left[i] and not reached_right >> i & 1
     ]
 
     assert len(antichain) == len(chains), "matching construction out of step"

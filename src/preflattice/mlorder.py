@@ -148,8 +148,7 @@ def _pool(triple, required):
     the mean, until it is weakly maximal."""
     vals = list(triple)
     while vals[required] < max(v for k, v in enumerate(vals) if k != required):
-        violators = [k for k in range(3) if k != required and vals[k] > vals[required]]
-        k = min(violators, key=lambda k: (-vals[k], k))
+        k = min((k for k in range(3) if k != required), key=lambda k: (-vals[k], k))
         pooled = (vals[required] + vals[k]) / 2
         vals[required] = pooled
         vals[k] = pooled

@@ -3,7 +3,9 @@
 Each one computes what a library path computes, by a different or more
 direct route: the graph algorithms on label digraphs keyed by dict and set
 (Tarjan's components, the Hamiltonian walk, the transitive closure and the
-poset built on it), a subset-DP path count for the Hamiltonian
+poset built on it), the poset expanded into label pairs with its
+antichain and chains found over successor lists built from them, a
+subset-DP path count for the Hamiltonian
 enumeration, a reachability test for circuit-freeness of sub-bigraphs, the
 sub-bigraphs found through the completed bigraph, the subset tree over
 frozensets and the group topology by testing every pair of interest sets,
@@ -46,7 +48,7 @@ from preflattice.errors import (
     UnknownParent,
     UnmappedThread,
 )
-from preflattice.graphalg import Poset, _compatible_subbigraph, digraph
+from preflattice.graphalg import _compatible_subbigraph, digraph
 from preflattice.mlorder import max_likelihood_order, tally
 from preflattice.selforg import APATHY, check_interest_names, group_label
 
@@ -72,13 +74,117 @@ def transitive_closure(g):
 
 
 def label_poset(elements, pairs):
-    """``poset`` by the label-keyed closure: a Poset, or CyclicRelation
-    when the closure relates two distinct elements both ways."""
+    """``poset`` by the label-keyed closure: its strict pairs (u, v), u
+    below v, or CyclicRelation when the closure relates two distinct
+    elements both ways."""
     elems = tuple(elements)
     closed = transitive_closure(digraph(elems, [(u, v) for u, v in pairs if u != v]))
     if any(u != v and (v, u) in closed.edges for u, v in closed.edges):
         raise CyclicRelation("cyclic relation")
-    return Poset(elems, closed.edges)
+    return closed.edges
+
+
+def poset_pairs(p):
+    """The strict pairs (u, v), u below v, of a Poset, read off its reach
+    rows."""
+    e = p.elements
+    return frozenset(
+        (e[i], e[j]) for i, r in enumerate(p.reach)
+        for j, x in enumerate(bin(r)[:1:-1]) if x == "1"
+    )
+
+
+def pair_poset(elements, pairs):
+    """``poset`` with its closure expanded into label pairs: the strict
+    pairs (u, v), u below v, scanned in element order, so that the first
+    pair found both ways names the CyclicRelation."""
+    elems = tuple(elements)
+    pos = {e: i for i, e in enumerate(elems)}
+    reach = [0] * len(elems)  # bit j of reach[i]: element i is below element j
+    for u, v in pairs:
+        if u != v:
+            reach[pos[u]] |= 1 << pos[v]
+    for k, rk in enumerate(reach):
+        bit = 1 << k
+        for i, r in enumerate(reach):
+            if r & bit:
+                reach[i] = r | rk
+    below = []
+    for i, r in enumerate(reach):
+        for j, x in enumerate(bin(r)[:1:-1]):
+            if x == "1" and j != i:
+                if reach[j] >> i & 1:
+                    raise CyclicRelation(
+                        f"{elems[i]!r} and {elems[j]!r} are mutually below each other"
+                    )
+                below.append((elems[i], elems[j]))
+    return frozenset(below)
+
+
+def pair_max_antichain(elements, below):
+    """``max_antichain`` over the strict pairs of a poset: ascending index
+    successor lists built from the pairs, the augmenting paths searched
+    with one successor iterator per left vertex on the path, and Koenig's
+    alternation breadth-first over the lists."""
+    elems = list(elements)
+    idx = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    succ = [[] for _ in range(n)]
+    for u, v in below:
+        succ[idx[u]].append(idx[v])
+    for s in succ:
+        s.sort()
+
+    match_right = [None] * n
+    match_left = [None] * n
+    for root in range(n):
+        visited = [False] * n
+        frames = [(root, iter(succ[root]))]
+        taken = []
+        while frames:
+            for v in frames[-1][1]:
+                if not visited[v]:
+                    visited[v] = True
+                    break
+            else:
+                frames.pop()
+                if taken:
+                    taken.pop()
+                continue
+            taken.append(v)
+            w = match_right[v]
+            if w is None:
+                for (u, _), v in zip(frames, taken):
+                    match_right[v] = u
+                    match_left[u] = v
+                break
+            frames.append((w, iter(succ[w])))
+
+    chains = []
+    for h in [v for v in range(n) if match_right[v] is None]:
+        chain = [h]
+        while match_left[chain[-1]] is not None:
+            chain.append(match_left[chain[-1]])
+        chains.append([elems[i] for i in chain])
+
+    reached_left = [False] * n
+    reached_right = [False] * n
+    frontier = [u for u in range(n) if match_left[u] is None]
+    for u in frontier:
+        reached_left[u] = True
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in succ[u]:
+                if not reached_right[v]:
+                    reached_right[v] = True
+                    w = match_right[v]
+                    if w is not None and not reached_left[w]:
+                        reached_left[w] = True
+                        nxt.append(w)
+        frontier = nxt
+    antichain = [elems[i] for i in range(n) if reached_left[i] and not reached_right[i]]
+    return len(antichain), antichain, chains
 
 
 def label_hamiltonian_paths(g):
@@ -779,8 +885,6 @@ def per_voter_aggregate_reach(profile):
         classification=classification,
         sources=tuple(labels[j] for j in range(k) if all(counts[i][j] == 0 for i in range(k))),
         sinks=tuple(labels[i] for i in range(k) if all(counts[i][j] == 0 for j in range(k))),
-        weights={(labels[i], labels[j]): (counts[i][j], counts[j][i])
-                 for i in range(k) for j in range(k) if i != j},
     )
     return agg, report
 

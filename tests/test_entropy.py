@@ -130,6 +130,8 @@ def test_shannon_entropy_fixtures():
         wx.BORDA3_SHANNON, abs=1e-12
     )
     assert shannon_entropy((1, 0, 0), base=3).value == 0.0
+    # one bit over two equally likely policies: base 2 is a real base
+    assert shannon_entropy((0.5, 0.5), base=2).value == 1.0
     with pytest.raises(NotADistribution):
         shannon_entropy((0.7, 0.7), base=2)
 

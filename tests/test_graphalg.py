@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,9 @@ from oracles import (
     label_hamiltonian_paths,
     label_poset,
     label_strongly_connected_components,
+    pair_max_antichain,
+    pair_poset,
+    poset_pairs,
     successor_lists,
     transitive_closure,
     transitive_reduction,
@@ -60,9 +64,24 @@ def test_max_antichain_on_a_crown_past_the_recursion_limit():
     p = poset(a + b[::-1], [(a[i], b[i]) for i in range(n)]
               + [(a[i], b[(i + 1) % n]) for i in range(n)])
     size, antichain, chains = max_antichain(p)
+    below = poset_pairs(p)
     assert size == len(antichain) == len(chains) == n
-    assert not any((u, v) in p.below for u in antichain for v in antichain)
-    assert all(len(c) == 2 and tuple(c) in p.below for c in chains)
+    assert not any((u, v) in below for u in antichain for v in antichain)
+    assert all(len(c) == 2 and tuple(c) in below for c in chains)
+
+
+def test_max_antichain_on_a_chain_keeps_no_pair_set():
+    # a chain of 400 has 79800 comparable pairs; its reach rows are 400
+    # ints of at most 400 bits each
+    labels = [f"e{i}" for i in range(400)]
+    tracemalloc.start()
+    try:
+        result = max_antichain(poset(labels, zip(labels, labels[1:])))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (1, [labels[-1]], [labels])
+    assert peak < 1 << 20, f"traced peak {peak} bytes"
 
 
 def test_hamiltonian_paths_transitive_tournament():
@@ -112,11 +131,12 @@ def test_poset_rejects_cycles():
 def _brute_max_antichain(p):
     """Largest subset with no comparable pair, by exhaustive search."""
     elems = list(p.elements)
+    below = poset_pairs(p)
     best = 0
     for r in range(len(elems), 0, -1):
         for sub in combinations(elems, r):
             ok = all(
-                (u, v) not in p.below and (v, u) not in p.below
+                (u, v) not in below and (v, u) not in below
                 for u, v in combinations(sub, 2)
             )
             if ok:
@@ -149,8 +169,9 @@ def test_antichain_equals_brute_force(n, rng):
     size, antichain, chains = max_antichain(p)
     assert size == _brute_max_antichain(p)
     assert size == len(chains)
+    below = poset_pairs(p)
     for u, v in combinations(antichain, 2):
-        assert (u, v) not in p.below and (v, u) not in p.below
+        assert (u, v) not in below and (v, u) not in below
 
 
 def test_worked_bigraph_structure(worked_tally):
@@ -251,10 +272,16 @@ def test_poset_closure_matches_the_label_closure(g):
     try:
         expected = label_poset(g.vertices, g.edges)
     except CyclicRelation:
-        with pytest.raises(CyclicRelation):
+        with pytest.raises(CyclicRelation) as first:
+            pair_poset(g.vertices, g.edges)
+        with pytest.raises(CyclicRelation) as err:
             poset(g.vertices, g.edges)
+        assert str(err.value) == str(first.value)
     else:
-        assert poset(g.vertices, g.edges) == expected
+        p = poset(g.vertices, g.edges)
+        assert p.elements == g.vertices
+        assert poset_pairs(p) == expected == pair_poset(g.vertices, g.edges)
+        assert max_antichain(p) == pair_max_antichain(g.vertices, expected)
 
 
 TG_FIXTURE = {
@@ -287,3 +314,22 @@ def test_tg_graph_validation():
     bad = {"vertices": [{"id": "a", "kind": "thing"}], "edges": []}
     with pytest.raises(InputError):
         tg_graph_from_dict(bad)
+
+
+@pytest.mark.parametrize("data, error, message", [
+    # an int id and no edges: the vertex-id check alone must refuse it
+    ({"vertices": [{"id": 1, "kind": "subject"}], "edges": []},
+     InputError, "take-grant vertex ids must be strings"),
+    # string vertices and one edge whose head alone is not a string
+    ({"vertices": [{"id": "a", "kind": "subject"}, {"id": "b", "kind": "object"}],
+      "edges": [{"from": "a", "to": 1, "label": "take"}]},
+     InputError, "take-grant vertex ids must be strings"),
+    # string ids throughout, but the edge's head is no vertex
+    ({"vertices": [{"id": "a", "kind": "subject"}],
+      "edges": [{"from": "a", "to": "b", "label": "take"}]},
+     UnknownVertex, "edge ('a','b') uses unknown vertex"),
+])
+def test_tg_graph_refuses_one_bad_side(data, error, message):
+    with pytest.raises(error) as err:
+        tg_graph_from_dict(data)
+    assert type(err.value) is error and str(err.value) == message

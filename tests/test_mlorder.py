@@ -94,6 +94,21 @@ def test_induced_bigraph_worked(worked_tally):
     assert set(big.c_edges) == {frozenset({"1", "4"}), frozenset({"2", "3"})}
 
 
+def test_induced_bigraph_draws_no_edge_on_a_tied_maximum():
+    # pi_ab ties gamma, pi_ba ties gamma, pi_ab ties pi_ba, and all three
+    # tie: no share is a strict maximum, so no pair gets an edge
+    e = wx.estimate_point({
+        ("a", "b"): (Fr(2, 5), Fr(1, 5), Fr(2, 5)),
+        ("c", "d"): (Fr(1, 5), Fr(2, 5), Fr(2, 5)),
+        ("e", "f"): (Fr(2, 5), Fr(2, 5), Fr(1, 5)),
+        ("g", "h"): (Fr(1, 3), Fr(1, 3), Fr(1, 3)),
+    })
+    big = induced_bigraph(e)
+    assert big.vertices == tuple("abcdefgh")
+    assert big.d_edges == frozenset()
+    assert big.c_edges == frozenset()
+
+
 def test_restrict_single_pair_spot_checks():
     # a strict preference pools the tie mass in as needed
     e = wx.estimate_point({("1", "2"): (Fr(1, 3), Fr(1, 2), Fr(1, 6))})
