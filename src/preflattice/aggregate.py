@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from .core import LabeledMatrix, Profile, strict_counts
 from .errors import InputError, WeakOrderUnsupported
-from .graphalg import strongly_connected_components
+from .graphalg import bits, strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,7 @@ class AggregateReach:
 @dataclass
 class UnanimityReport:
     unanimities: frozenset  # ordered pairs (u, v)
-    classification: dict  # pair -> "simple" | "compound-simple" | "complex"
+    classes: dict  # label -> "simple" | "compound-simple" | "complex", per component of 2+
     sources: tuple[str, ...]
     sinks: tuple[str, ...]
 
@@ -82,61 +84,65 @@ def common_indifferences(profile: Profile) -> frozenset:
 
 
 def _unanimous(agg: AggregateReach):
-    """Unanimity as a boolean table on label indices: u is unanimously
-    above v when some voter ranks u above v and none ranks v above u."""
+    """Unanimity as one int row per label index, bit j of row i set when
+    some voter ranks i above j and none ranks j above i."""
     rows = agg.q.rows
-    return [[x >= 1 and rows[j][i] == 0 for j, x in enumerate(row)]
+    return [sum(1 << j for j, x in enumerate(row) if x and not rows[j][i])
             for i, row in enumerate(rows)]
 
 
 def _majority(agg: AggregateReach):
-    """Majority as a boolean table on label indices: u beats v when more
-    than half the voters rank u above v, so an exact tie gives no direction."""
-    return [[2 * x > agg.n_voters for x in row] for row in agg.q.rows]
+    """Majority as one int row per label index, bit j of row i set when more
+    than half the voters rank i above j (an exact tie gives no direction)."""
+    return [sum(1 << j for j, x in enumerate(row) if 2 * x > agg.n_voters) for row in agg.q.rows]
 
 
-def _lift(relation, blocks):
-    """The relation between distinct blocks as a boolean table: block i
-    relates to block j when every member of i relates to every member of j."""
-    table = []
+def _lift(rows, blocks):
+    """The relation between distinct blocks as int rows: block i relates
+    to block j when every member of i relates to every member of j."""
+    masks = [sum(1 << x for x in b) for b in blocks]
+    lifted = []
     for i, a in enumerate(blocks):
-        # the labels every member of block a relates to
-        common = [all(col) for col in zip(*(relation[x] for x in a))]
-        table.append([i != j and all(map(common.__getitem__, b)) for j, b in enumerate(blocks)])
-    return table
+        common = reduce(and_, (rows[x] for x in a))  # what every member of a relates to
+        lifted.append(sum(1 << j for j, m in enumerate(masks) if i != j and common & m == m))
+    return lifted
 
 
-def _label_pairs(labels, table):
-    """The pairs of labels a boolean table holds, row-major."""
-    return [(labels[i], labels[j]) for i, row in enumerate(table) for j, x in enumerate(row) if x]
+def _label_pairs(labels, rows):
+    """The pairs of labels int rows hold, row-major."""
+    return [(labels[i], labels[j]) for i, row in enumerate(rows) for j in bits(row)]
 
 
-def _unanimity_components(rel):
+def _unanimity_components(rows):
     """(members, class) for each weak component of two or more vertices of
-    a strict partial order given as a boolean table, in order of least
-    member, members ascending. The class reads the component's covers,
-    the pairs with nothing between them (its transitive reduction): one
-    cover is simple, covers with distinct heads and distinct tails (a
+    a strict partial order given as int rows, in order of least member,
+    members ascending. The class reads the component's covers, its
+    transitive reduction: the bits of i's row that no row i reaches holds.
+    One cover is simple, covers with distinct heads and distinct tails (a
     chain) compound-simple, anything that branches complex.
     """
-    comp = list(range(len(rel)))  # each vertex's component, named by its least member
-    for i, row in enumerate(rel):
-        for j, x in enumerate(row):
-            if x and comp[i] != comp[j]:
-                keep, drop = sorted((comp[i], comp[j]))
-                comp = [keep if c == drop else c for c in comp]
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            cols[j] |= 1 << i
+    covers = [row & ~reduce(or_, (rows[w] for w in bits(row)), 0) for row in rows]
     components = []
-    for least in sorted(set(comp)):
-        members = tuple(v for v, c in enumerate(comp) if c == least)
-        if len(members) < 2:
-            continue
-        covers = [(i, j) for i in members for j in members
-                  if rel[i][j] and not any(rel[i][w] and rel[w][j] for w in members)]
-        tails, heads = map(set, zip(*covers))
-        cls = ("simple" if len(covers) == 1
-               else "compound-simple" if len(tails) == len(heads) == len(covers)
-               else "complex")
-        components.append((members, cls))
+    unseen = (1 << len(rows)) - 1
+    while unseen:
+        comp, frontier = 0, unseen & -unseen  # grown from the least unseen vertex
+        while frontier:
+            comp |= frontier
+            frontier = reduce(or_, (rows[v] | cols[v] for v in bits(frontier))) & ~comp
+        unseen &= ~comp
+        if comp & comp - 1:  # two or more members
+            members = tuple(bits(comp))
+            n_covers = sum(covers[v].bit_count() for v in members)
+            tails = sum(1 for v in members if covers[v])
+            heads = reduce(or_, (covers[v] for v in members)).bit_count()
+            cls = ("simple" if n_covers == 1
+                   else "compound-simple" if tails == heads == n_covers
+                   else "complex")
+            components.append((members, cls))
     return components
 
 
@@ -159,35 +165,25 @@ def aggregate_reach(profile: Profile):
     pos = {p: i for i, p in enumerate(profile.policies)}
     reps = [pos[b[0]] for b in blocks]
     counts = [[c[i][j] for j in reps] for i in reps]
-    k = len(blocks)
     q = LabeledMatrix(labels, tuple(tuple(r) for r in counts))
     agg = AggregateReach(q=q, n_voters=profile.n_voters, blocks=tuple(blocks))
 
-    table = _unanimous(agg)
-    unan = frozenset(_label_pairs(labels, table))
-    class_of = {labels[x]: cls for members, cls in _unanimity_components(table) for x in members}
-    classification = {(u, v): class_of[u] for u, v in unan}
-    sources = tuple(
-        labels[j] for j in range(k) if all(counts[i][j] == 0 for i in range(k))
-    )
-    sinks = tuple(
-        labels[i] for i in range(k) if all(counts[i][j] == 0 for j in range(k))
-    )
+    rows = _unanimous(agg)
     report = UnanimityReport(
-        unanimities=unan,
-        classification=classification,
-        sources=sources,
-        sinks=sinks,
+        unanimities=frozenset(_label_pairs(labels, rows)),
+        classes={labels[x]: cls for members, cls in _unanimity_components(rows) for x in members},
+        sources=tuple(labels[j] for j, col in enumerate(zip(*counts)) if not any(col)),
+        sinks=tuple(labels[i] for i, row in enumerate(counts) if not any(row)),
     )
     return agg, report
 
 
-def _cycles(majority, unanimous, names):
+def _cycles(succ, unanimous, names):
     """(members, kind, dominators, dominees) as vertex indices for each
-    strongly connected component of two or more vertices of a majority
-    table, given the unanimity table and the vertex names. Successors are
-    tried in name order and members listed in it; witnesses follow the
-    indices.
+    strongly connected component of two or more vertices of the majority
+    relation, given as successor lists in name order, the unanimity rows
+    and the vertex names. Members are listed in name order; witnesses
+    follow the indices.
 
     A cycle spanning every vertex is complete. Otherwise it is dominated
     when some outside vertex is unanimously above all members, dominating
@@ -195,15 +191,15 @@ def _cycles(majority, unanimous, names):
     when neither witness exists. A cycle that is both dominated and
     dominating is tagged dominated; both witness lists are reported.
     """
-    by_name = sorted(range(len(names)), key=names.__getitem__)
     cycles = []
-    for comp in strongly_connected_components([[j for j in by_name if row[j]] for row in majority]):
+    for comp in strongly_connected_components(succ):
         if len(comp) < 2:
             continue
-        outside = [d for d in range(len(names)) if d not in comp]
-        dominators = tuple(d for d in outside if all(unanimous[d][u] for u in comp))
-        dominees = tuple(d for d in outside if all(unanimous[u][d] for u in comp))
-        if not outside:
+        # no vertex is unanimously above or below itself, so no member is a witness
+        mask = sum(1 << u for u in comp)
+        dominators = tuple(d for d, row in enumerate(unanimous) if row & mask == mask)
+        dominees = tuple(bits(reduce(and_, (unanimous[u] for u in comp))))
+        if len(comp) == len(names):
             kind = "complete"
         elif dominators:
             kind = "dominated"
@@ -218,7 +214,10 @@ def _cycles(majority, unanimous, names):
 def classify_cycles(agg: AggregateReach) -> list:
     """The cycles of the majority relation over single vertices; see _cycles."""
     labs = agg.q.labels
-    cycles = _cycles(_majority(agg), _unanimous(agg), labs)
+    by_name = sorted(range(len(labs)), key=labs.__getitem__)
+    half = agg.n_voters // 2  # 2x > n when x > n // 2
+    succ = [[j for j in by_name if row[j] > half] for row in agg.q.rows]  # off the counts
+    cycles = _cycles(succ, _unanimous(agg), labs)
     return [CycleInfo(tuple(labs[v] for v in members), kind,
                       tuple(labs[v] for v in dominators), tuple(labs[v] for v in dominees))
             for members, kind, dominators, dominees in cycles]
@@ -245,13 +244,14 @@ def condense(agg: AggregateReach) -> CondensedGraph:
     while True:
         # the block relations of this round; a block is named by its least label
         names = [min(labs[x] for x in b) for b, _ in blocks]
-        majority_table = _lift(majority, [b for b, _ in blocks])
-        unan_table = _lift(unanimous, [b for b, _ in blocks])
-        merge = next(((members, f"{kind}-cycle")
-                      for members, kind, *_ in _cycles(majority_table, unan_table, names)
+        majority_rows = _lift(majority, [b for b, _ in blocks])
+        unan_rows = _lift(unanimous, [b for b, _ in blocks])
+        succ = [sorted(bits(row), key=names.__getitem__) for row in majority_rows]
+        cycles = _cycles(succ, unan_rows, names)
+        merge = next(((members, f"{kind}-cycle") for members, kind, *_ in cycles
                       if kind in ("dominated", "dominating")), None)
         if merge is None:
-            for members, cls in _unanimity_components(unan_table):
+            for members, cls in _unanimity_components(unan_rows):
                 if any(blocks[i][1].endswith("-cycle") for i in members):
                     flat = tuple(sorted(labs[x] for i in members for x in blocks[i][0]))
                     reason = ("complex-unanimity-overlaps-cycle" if cls == "complex"
@@ -285,7 +285,7 @@ def condense(agg: AggregateReach) -> CondensedGraph:
     return CondensedGraph(
         blocks=tuple(final_blocks),
         rules=tuple(final_rules),
-        edges=frozenset(sorted(_label_pairs(rank, majority_table))),
+        edges=frozenset(sorted(_label_pairs(rank, majority_rows))),
         mapping=mapping,
         overlaps=tuple(overlaps),
     )

@@ -2,9 +2,9 @@
 
 One subcommand per capability; structured results go to stdout as JSON
 (keys sorted, two-space indent), time series and grids as CSV. Input
-errors exit 2, enumeration caps and convergence failures exit 3, and
-either prints a one-line JSON error record on stderr. Identical inputs
-and seeds produce byte-identical output.
+errors exit 2; enumeration caps, convergence failures and running out of
+memory exit 3; either prints a one-line JSON error record on stderr.
+Identical inputs and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def cmd_aggregate(args) -> int:
         "n_voters": agg.n_voters,
         "q": [[int(x) for x in row] for row in agg.q.rows],
         "unanimities": [
-            {"pair": [u, v], "class": report.classification[(u, v)]}
+            {"pair": [u, v], "class": report.classes[u]}
             for u, v in sorted(report.unanimities)
         ],
         "sources": list(report.sources),
@@ -544,6 +544,9 @@ def main(argv=None) -> int:
         return 1
     except ResourceError as exc:
         _error_line(exc)
+        return 3
+    except MemoryError:
+        _error_line(MemoryError("out of memory"))
         return 3
     except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _error_line(exc)

@@ -78,6 +78,13 @@ def hamiltonian_paths(succ):
     return paths
 
 
+def bits(mask):
+    """The indices of the set bits of an int, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 # ---------------------------------------------------------------------------
 # subsets: the lattice both subset topologies stand on
 
@@ -275,10 +282,8 @@ def max_antichain(p: Poset):
         u = frontier.pop()
         new = reach[u] & ~reached_right
         reached_right |= new
-        while new:
-            low = new & -new
-            new ^= low
-            w = match_right[low.bit_length() - 1]
+        for v in bits(new):
+            w = match_right[v]
             if w is not None:
                 reached_left[w] = True
                 frontier.append(w)

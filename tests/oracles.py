@@ -816,15 +816,13 @@ def transitive_reduction(g):
 
 
 def _classify_unanimity_components(labels, unanimities):
-    """Class per unanimous pair, determined by the shape of its weak
-    component in the transitive reduction of the unanimity digraph:
-    one edge = simple, a single path = compound-simple, anything with
-    branching = complex. Closure pairs inherit their component's class.
-    Also returns each vertex's (component members, class).
+    """Each vertex of a weak component of two or more vertices in the
+    transitive reduction of the unanimity digraph -> (component members,
+    class), the class read off the component's shape: one edge = simple,
+    a single path = compound-simple, anything with branching = complex.
     """
     g = digraph(labels, unanimities)
     red = transitive_reduction(g)
-    classification = {}
     comp_of = {}
     for comp in weak_components(red):
         if len(comp) < 2:
@@ -845,9 +843,7 @@ def _classify_unanimity_components(labels, unanimities):
             cls = "compound-simple" if is_path else "complex"
         for u in comp:
             comp_of[u] = (frozenset(members), cls)
-    for u, v in unanimities:
-        classification[(u, v)] = comp_of[u][1]
-    return classification, comp_of
+    return comp_of
 
 
 def _label_unanimities(q):
@@ -879,10 +875,10 @@ def per_voter_aggregate_reach(profile):
     q = LabeledMatrix(labels, tuple(tuple(r) for r in counts))
     agg = AggregateReach(q=q, n_voters=profile.n_voters, blocks=tuple(blocks))
     unan = _label_unanimities(q)
-    classification, _ = _classify_unanimity_components(labels, unan)
+    comp_of = _classify_unanimity_components(labels, unan)
     report = UnanimityReport(
         unanimities=unan,
-        classification=classification,
+        classes={u: cls for u, (_, cls) in comp_of.items()},
         sources=tuple(labels[j] for j in range(k) if all(counts[i][j] == 0 for i in range(k))),
         sinks=tuple(labels[i] for i in range(k) if all(counts[i][j] == 0 for j in range(k))),
     )
@@ -995,7 +991,7 @@ def label_condense(agg):
         by_name = {names[b]: b for b in partition}
         unan_edges = [(names[a], names[b]) for a in partition for b in partition
                       if a != b and unanimous(a, b)]
-        _, comp_of = _classify_unanimity_components(
+        comp_of = _classify_unanimity_components(
             tuple(names[b] for b in partition), frozenset(unan_edges)
         )
         handled = set()

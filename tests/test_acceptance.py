@@ -217,7 +217,7 @@ def test_criterion_7_unanimity_regression(borda4):
     is a simple one."""
     _, report = aggregate_reach(borda4)
     assert set(report.unanimities) == {("y", "z")}
-    assert report.classification[("y", "z")] == "simple"
+    assert report.classes["y"] == report.classes["z"] == "simple"
 
 
 def test_criterion_8a_simulator_determinism(tmp_path):

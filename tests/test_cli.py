@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -729,6 +730,39 @@ def test_stdout_closed_before_the_first_write_exits_1_silently():
         os.close(write_end)
     assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 1
+
+
+# The address space a fresh interpreter takes to import the CLI, in bytes.
+PEAK_AFTER_IMPORT = """
+import preflattice.cli
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmPeak:")) * 1024)
+"""
+
+
+def test_running_out_of_memory_exits_3_with_one_json_line(tmp_path):
+    resource = pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("the address-space floor is read from /proc")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    floor = subprocess.run([sys.executable, "-c", PEAK_AFTER_IMPORT], capture_output=True,
+                           text=True, check=True, env=env).stdout
+    # 32 MB over the floor: aggregate on 400 policies needs about twice that
+    limit = int(floor) + (32 << 20)
+    rng = random.Random(400)
+    policies = [f"p{i:03d}" for i in range(400)]
+    path = write_json(tmp_path / "profile.json", {
+        "policies": policies,
+        "voters": [{"id": f"v{i}", "ranking": [[p] for p in rng.sample(policies, 400)]}
+                   for i in range(3)],
+    })
+    proc = cli_child(["aggregate", path], stdout=subprocess.PIPE,
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (3, b"")
+    assert json.loads(err) == {"error": "MemoryError", "message": "out of memory"}
 
 
 # Runs each argv list through main in one fresh interpreter in which numpy
